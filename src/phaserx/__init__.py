@@ -24,7 +24,7 @@ from .helstrom import (
     required_dim,
     trace_distance,
 )
-from .montecarlo import TrialConfig, poisson_inverse, simulate_perr
+from .montecarlo import TrialConfig, simulate_perr
 from .optimizer import (
     OptimizationProblem,
     OptimizationResult,
@@ -46,7 +46,6 @@ from .receivers import (
     perr_ook_dd,
     perr_sql_baseline,
     photocount_distribution,
-    photocount_probability,
     poisson_cdf,
 )
 
@@ -81,9 +80,7 @@ __all__ = [
     "perr_sql_baseline",
     "phase_diffused_state",
     "photocount_distribution",
-    "photocount_probability",
     "poisson_cdf",
-    "poisson_inverse",
     "psd_watts_per_hz",
     "required_dim",
     "rotate",

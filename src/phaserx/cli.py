@@ -26,7 +26,7 @@ from .constellation import (
     parametrize,
     psd_watts_per_hz,
 )
-from .helstrom import optimize_helstrom, perr_helstrom, phase_diffused_state, required_dim
+from .helstrom import optimize_helstrom, perr_helstrom, required_dim
 from .montecarlo import SCHEME_KENNEDY, TrialConfig, simulate_perr
 from .optimizer import OptimizationProblem, optimize, sweep_sigma
 from .phasenoise import ConvergenceError, PhaseNoise
@@ -34,7 +34,6 @@ from .receivers import (
     perr_bpsk_hom,
     perr_helstrom_noiseless,
     perr_ook_dd,
-    perr_sql_baseline,
     photocount_distribution,
 )
 

@@ -8,15 +8,19 @@ compared against a decision point (homodyne).
 Determinism contract
 --------------------
 All randomness derives from the Philox (4x64, 10 rounds) counter-based
-generator keyed by the user seed.  Trials are processed in fixed blocks of
-``BLOCK_SIZE``; block ``s`` draws from a fresh generator keyed ``seed + s``,
-and per trial the uniform triple ``(u_bit, u_phase, u_outcome)`` is consumed
-in row-major order.  Every outcome is produced by inversion of its uniform:
-the bit as ``u < 1/2``, the phase through the inverse normal CDF, the
-photocount by sequential search of the Poisson CDF (exact inversion,
-preferred over faster samplers), and the homodyne outcome through the
-inverse normal CDF.  Identical seeds therefore give bit-identical results,
-and block error counts merge by integer addition in any order.
+generator.  Trials are processed in fixed blocks of ``BLOCK_SIZE``; block
+``b`` of seed ``s`` draws from a fresh generator whose 128-bit key holds
+``s`` in its low 64-bit word and ``b`` in its high word (``s + (b << 64)``),
+so no two (seed, block) pairs share a stream (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11).  Per trial the uniform triple
+``(u_bit, u_phase, u_outcome)`` is consumed in row-major order.  Every
+outcome is produced by inversion of its uniform: the bit as ``u < 1/2``,
+the phase through the inverse normal CDF, the photon-counting decision as
+``u >= P(count <= K)`` (exactly the event that the inverse-CDF photocount
+exceeds ``K``), and the homodyne outcome through the inverse normal CDF.
+Results therefore depend only on (seed, trial count, block size):
+identical ``TrialConfig``s give bit-identical results, and block error
+counts merge by integer addition in any order.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from scipy.special import ndtri
 
 from .constellation import BinaryConstellation
 from .phasenoise import PhaseNoise
-from .receivers import BIT0_HIGH, BIT1_HIGH, ReceiverConfig
+from .receivers import BIT0_HIGH, BIT1_HIGH, ReceiverConfig, poisson_cdf
 
 BLOCK_SIZE = 1_000_000
 SCHEME_KENNEDY = "generalized-kennedy"
@@ -51,8 +55,8 @@ class TrialConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed}")
         if self.scheme not in (SCHEME_KENNEDY, SCHEME_HOMODYNE):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
@@ -60,8 +64,11 @@ class TrialConfig:
 def poisson_inverse(u: np.ndarray, mu: np.ndarray, max_count: int = 2000) -> np.ndarray:
     """Poisson samples by CDF inversion: smallest k with ``u < P(X <= k)``.
 
-    Sequential search with the all-positive term recurrence; exact for any
-    mean that keeps ``exp(-mu)`` above the underflow threshold.
+    The simulator only needs whether the sample exceeds the threshold and
+    reads that off :func:`~phaserx.receivers.poisson_cdf`; this full sampler
+    is the reference that decision is tested against.  Sequential search
+    with the all-positive term recurrence; exact for any mean that keeps
+    ``exp(-mu)`` above the underflow threshold.
     ``max_count`` only guards against a (probability ~2^-53) stall once the
     term recurrence has underflowed.
     """
@@ -110,7 +117,7 @@ def simulate_perr(
     block = 0
     while done < t.trials:
         n = min(BLOCK_SIZE, t.trials - done)
-        errors += _run_block(c, cfg, noise, t.seed + block, n, t.scheme, orientation)
+        errors += _run_block(c, cfg, noise, t.seed + (block << 64), n, t.scheme, orientation)
         done += n
         block += 1
 
@@ -130,8 +137,7 @@ def _run_block(c, cfg, noise, key, n, scheme, orientation) -> int:
     if scheme == SCHEME_KENNEDY:
         z = sent + cfg.beta
         mu = z.real**2 + z.imag**2
-        counts = poisson_inverse(u_out, mu)
-        high = counts > cfg.threshold_k
+        high = u_out >= poisson_cdf(cfg.threshold_k, mu)
     else:
         mean = math.sqrt(2.0) * np.real(sent)
         x = mean + math.sqrt(0.5) * ndtri(u_out)

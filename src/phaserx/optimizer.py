@@ -26,7 +26,13 @@ from .constellation import BinaryConstellation, parametrize
 from .golden import golden_minimize
 from .helstrom import perr_helstrom
 from .phasenoise import PhaseNoise, build_rule
-from .receivers import ReceiverConfig, generalized_kennedy_detail, perr_sql_baseline
+from .receivers import (
+    ReceiverConfig,
+    _poisson_cdfs,
+    displaced_intensity,
+    generalized_kennedy_detail,
+    perr_sql_baseline,
+)
 
 GRID_QUAD_ORDER = 96
 MAX_REFINE_ROUNDS = 60
@@ -98,29 +104,14 @@ def _grid_scan(problem: OptimizationProblem):
 
     a0 = (s * np.cos(thetas))[:, None]
     a1 = (s * np.sin(thetas))[:, None]
-    b = betas[None, :]
-    kmax = problem.pnr_ceiling - 1
-    shape = (kmax + 1, thetas.size, betas.size)
-    low0 = np.zeros(shape)
-    low1 = np.zeros(shape)
+    # gap[k] accumulates P(count <= k | alpha1) - P(count <= k | alpha0).
+    gap = np.zeros((problem.pnr_ceiling, thetas.size, betas.size))
     for w, phi in zip(rule.weights, rule.nodes):
-        two_cos = 2.0 * math.cos(phi)
-        mu0 = a0 * a0 + b * b + a0 * b * two_cos
-        mu1 = a1 * a1 + b * b + a1 * b * two_cos
-        term0 = np.exp(-mu0)
-        term1 = np.exp(-mu1)
-        cdf0 = term0.copy()
-        cdf1 = term1.copy()
-        low0[0] += w * cdf0
-        low1[0] += w * cdf1
-        for k in range(1, kmax + 1):
-            term0 = term0 * mu0 / k
-            term1 = term1 * mu1 / k
-            cdf0 = cdf0 + term0
-            cdf1 = cdf1 + term1
-            low0[k] += w * cdf0
-            low1[k] += w * cdf1
-    perr = 0.5 * low1 + 0.5 * (1.0 - low0)
+        cdfs0 = _poisson_cdfs(displaced_intensity(a0, betas, phi))
+        cdfs1 = _poisson_cdfs(displaced_intensity(a1, betas, phi))
+        for k, cdf0, cdf1 in zip(range(problem.pnr_ceiling), cdfs0, cdfs1):
+            gap[k] += w * (cdf1 - cdf0)
+    perr = 0.5 + 0.5 * gap
     return thetas, betas, np.minimum(perr, 1.0 - perr)
 
 

@@ -75,9 +75,15 @@ class QuadratureRule:
     weights: np.ndarray = field(repr=False)
     order: int
 
-    def average(self, values: np.ndarray) -> float:
-        """Weighted sum of integrand samples taken at ``nodes``."""
-        return float(np.dot(self.weights, values))
+    def average(self, values: np.ndarray) -> float | np.ndarray:
+        """Weighted sum of integrand samples taken at ``nodes``.
+
+        ``values`` of shape ``(order,)`` give a float; a stack of shape
+        ``(m, order)`` gives the ``m`` weighted sums along the last axis.
+        """
+        if values.ndim == 1:
+            return float(np.dot(self.weights, values))
+        return values @ self.weights
 
 
 def build_rule(noise: PhaseNoise, order: int) -> QuadratureRule:
@@ -109,47 +115,56 @@ def build_rule(noise: PhaseNoise, order: int) -> QuadratureRule:
     )
 
 
-def average(noise: PhaseNoise, f, tolerance: float = 1e-10) -> float:
+def average(noise: PhaseNoise, f, tolerance: float = 1e-10) -> float | np.ndarray:
     """Evaluate ``<f>_phi`` to a requested tolerance.
 
     ``f`` must accept an ndarray of phases and return the integrand values
-    elementwise.  The rule order is doubled from ``BASE_ORDER`` up to
-    ``MAX_ORDER`` until two successive estimates agree to ``tolerance``
-    (relative, or absolute once the value itself is below the tolerance);
-    the finer estimate is returned.
+    elementwise, either as an array of the same shape (a scalar integrand,
+    averaged to a float) or stacked as shape ``(m, order)`` (``m`` integrands
+    sharing the nodes, averaged to an array of ``m`` values).  The rule order
+    is doubled from ``BASE_ORDER`` up to ``MAX_ORDER`` until two successive
+    estimates agree to ``tolerance`` in every component (relative, or
+    absolute once the value itself is below the tolerance); the finer
+    estimate is returned.
 
     Raises
     ------
     ConvergenceError
         If the order cap is reached without agreement; carries the last two
-        estimates.
+        estimates of the component that misses the tolerance by the most.
     """
     if tolerance <= 0.0:
         raise ValueError(f"tolerance must be > 0, got {tolerance}")
     if noise.sigma == 0.0:
-        return float(np.asarray(f(np.zeros(1)))[0])
+        point = np.asarray(f(np.zeros(1)), dtype=float)[..., 0]
+        return float(point) if point.ndim == 0 else point
 
-    def estimate(order: int) -> float:
+    def estimate(order: int) -> float | np.ndarray:
         rule = build_rule(noise, order)
         return rule.average(np.asarray(f(rule.nodes)))
 
     order = BASE_ORDER
-    coarse = estimate(order)
+    fine = estimate(order)
     while order < MAX_ORDER:
         order *= 2
-        fine = estimate(order)
-        if _close(coarse, fine, tolerance):
+        coarse, fine = fine, estimate(order)
+        if isinstance(fine, float):
+            if _close(coarse, fine, tolerance):
+                return fine
+        elif all(_close(a, b, tolerance) for a, b in zip(coarse.tolist(), fine.tolist())):
             return fine
-        coarse = fine
-    # coarse now holds the MAX_ORDER estimate; recompute its predecessor for
-    # the diagnostic message.
-    previous = estimate(MAX_ORDER // 2)
+    if isinstance(fine, float):
+        where = ""
+    else:
+        worst = max(range(fine.size), key=lambda i: _miss(coarse[i], fine[i], tolerance))
+        where = f" in component {worst}"
+        coarse, fine = float(coarse[worst]), float(fine[worst])
     raise ConvergenceError(
-        f"phase average did not converge by order {MAX_ORDER}: estimate "
-        f"{previous!r} at order {MAX_ORDER // 2} vs {coarse!r} at order "
+        f"phase average did not converge by order {MAX_ORDER}{where}: estimate "
+        f"{coarse!r} at order {MAX_ORDER // 2} vs {fine!r} at order "
         f"{MAX_ORDER} exceeds tolerance {tolerance}",
-        coarse=previous,
-        fine=coarse,
+        coarse=coarse,
+        fine=fine,
     )
 
 
@@ -157,3 +172,8 @@ def _close(a: float, b: float, tol: float) -> bool:
     if abs(b) > tol:
         return abs(a - b) <= tol * abs(b)
     return abs(a - b) <= tol
+
+
+def _miss(a: float, b: float, tol: float) -> float:
+    """How far ``a`` and ``b`` are apart on the scale ``_close`` tests."""
+    return abs(a - b) / (abs(b) if abs(b) > tol else 1.0)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
-from scipy.special import erfc, gammaln
+from scipy.special import erfc, gammaln, xlogy
 
 from .constellation import BinaryConstellation
 from .phasenoise import PhaseNoise, average
@@ -63,30 +64,51 @@ class PhotocountDistribution:
     tail_mass: float
 
 
-def displaced_intensity(alpha: complex, beta: complex, phases: np.ndarray) -> np.ndarray:
+def displaced_intensity(alpha, beta, phases) -> np.ndarray:
     """Mean photocount ``|alpha*exp(i*phi) + beta|**2`` per phase sample.
 
     The displacement is applied after the phase noise: the local oscillator
     is assumed phase-locked, so only ``alpha`` picks up ``exp(i*phi)``.
+    ``alpha``, ``beta`` and ``phases`` broadcast against each other.
     """
-    alpha = complex(alpha)
-    beta = complex(beta)
+    alpha = np.asarray(alpha)
+    beta = np.asarray(beta)
     cos = np.cos(phases)
     sin = np.sin(phases)
+    # A real beta is left out of ``im`` and the squares are taken in place:
+    # on the optimizer's (theta, beta) grid each full-size temporary slows
+    # the scan measurably.
     re = alpha.real * cos - alpha.imag * sin + beta.real
-    im = alpha.real * sin + alpha.imag * cos + beta.imag
-    return re * re + im * im
+    im = alpha.real * sin + alpha.imag * cos
+    if np.iscomplexobj(beta):
+        im = im + beta.imag
+    re *= re
+    im *= im
+    re += im
+    return re
+
+
+def _poisson_cdfs(mu):
+    """Poisson ``P(count <= 0), P(count <= 1), ...`` for mean(s) ``mu``.
+
+    The package's one Poisson recurrence: all-positive terms
+    ``exp(-mu) * mu**j / j!`` summed in order, so it is stable for any mean
+    that keeps ``exp(-mu)`` above the underflow threshold.
+    """
+    term = np.exp(-mu)
+    cdf = term
+    yield cdf
+    j = 0
+    while True:
+        j += 1
+        term = term * mu / j
+        cdf = cdf + term
+        yield cdf
 
 
 def poisson_cdf(k: int, mu: np.ndarray) -> np.ndarray:
     """Poisson ``P(count <= k)`` by the stable all-positive term recurrence."""
-    mu = np.asarray(mu, dtype=float)
-    term = np.exp(-mu)
-    cdf = term.copy()
-    for j in range(1, k + 1):
-        term = term * mu / j
-        cdf = cdf + term
-    return cdf
+    return next(islice(_poisson_cdfs(np.asarray(mu, dtype=float)), k, None))
 
 
 def perr_ook_dd(nbar: float) -> float:
@@ -126,35 +148,6 @@ def perr_bpsk_hom(nbar: float, noise: PhaseNoise, tolerance: float = 1e-10) -> f
     return average(noise, integrand, tolerance)
 
 
-def photocount_probability(
-    k: int,
-    alpha: complex,
-    beta: complex,
-    noise: PhaseNoise,
-    tolerance: float = 1e-10,
-) -> float:
-    """Probability of ``k`` photocounts from a dephased, displaced amplitude.
-
-    ``p_k = < mu(phi)**k * exp(-mu(phi)) / k! >_phi`` with
-    ``mu(phi) = |alpha*exp(i*phi) + beta|**2``.  The integrand is evaluated
-    in log space so large ``k`` cannot overflow.
-    """
-    if k < 0:
-        raise ValueError(f"photocount k must be >= 0, got {k}")
-    lgk = gammaln(k + 1)
-
-    def integrand(phases: np.ndarray) -> np.ndarray:
-        mu = displaced_intensity(alpha, beta, phases)
-        if k == 0:
-            return np.exp(-mu)
-        out = np.zeros_like(mu)
-        pos = mu > 0.0
-        out[pos] = np.exp(k * np.log(mu[pos]) - mu[pos] - lgk)
-        return out
-
-    return average(noise, integrand, tolerance)
-
-
 def photocount_distribution(
     alpha: complex,
     beta: complex,
@@ -162,12 +155,23 @@ def photocount_distribution(
     truncation: int,
     tolerance: float = 1e-10,
 ) -> PhotocountDistribution:
-    """Photocount probabilities up to ``truncation``, tail mass by complement."""
+    """Photocount probabilities up to ``truncation``, tail mass by complement.
+
+    ``p_k = < mu(phi)**k * exp(-mu(phi)) / k! >_phi`` with
+    ``mu(phi) = |alpha*exp(i*phi) + beta|**2``, all ``k`` in one phase
+    average.  The integrand is evaluated in log space so large ``k`` cannot
+    overflow.
+    """
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
-    probs = np.array(
-        [photocount_probability(k, alpha, beta, noise, tolerance) for k in range(truncation + 1)]
-    )
+    k = np.arange(truncation + 1.0)[:, None]
+    lgk = gammaln(k + 1.0)
+
+    def integrand(phases: np.ndarray) -> np.ndarray:
+        mu = displaced_intensity(alpha, beta, phases)
+        return np.exp(xlogy(k, mu) - mu - lgk)
+
+    probs = average(noise, integrand, tolerance)
     return PhotocountDistribution(
         probs=probs,
         truncation=truncation,

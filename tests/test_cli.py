@@ -1,8 +1,11 @@
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from phaserx.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from phaserx.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from phaserx.phasenoise import PhaseNoise
 from phaserx.receivers import perr_bpsk_hom, perr_helstrom_noiseless, perr_ook_dd
 from phaserx.constellation import make_bpsk
@@ -215,3 +218,18 @@ def test_numerical_failure_exit_code(capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == EXIT_OK
     assert "phaserx" in capsys.readouterr().out
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.S | re.M)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.removeprefix("$ ")
+            if line.startswith("phaserx "):
+                commands.append(shlex.split(line)[1:])
+    assert len(commands) >= 4
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

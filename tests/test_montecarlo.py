@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
+from phaserx import montecarlo
 from phaserx.constellation import BinaryConstellation, make_bpsk, make_ook
 from phaserx.montecarlo import (
     BLOCK_SIZE,
@@ -20,6 +21,7 @@ from phaserx.receivers import (
     generalized_kennedy_detail,
     perr_bpsk_hom,
     perr_ook_dd,
+    poisson_cdf,
 )
 
 NOISELESS = PhaseNoise(0.0)
@@ -31,6 +33,9 @@ def test_trial_config_validation():
         TrialConfig(trials=0, seed=0)
     with pytest.raises(ValueError):
         TrialConfig(trials=10, seed=-1)
+    TrialConfig(trials=10, seed=2**64 - 1)
+    with pytest.raises(ValueError):
+        TrialConfig(trials=10, seed=2**64)
     with pytest.raises(ValueError):
         TrialConfig(trials=10, seed=0, scheme="heterodyne")
 
@@ -53,6 +58,48 @@ def test_poisson_inverse_heterogeneous_means():
     mu = np.array([0.1, 2.0, 40.0])
     want = np.array([poisson.ppf(0.5, m) for m in mu], dtype=np.int64)
     assert np.array_equal(poisson_inverse(u, mu), want)
+
+
+def test_threshold_decision_matches_inverse_cdf_sampling():
+    """``u >= P(count <= K)`` is exactly the event ``poisson_inverse(u) > K``."""
+    rng = np.random.default_rng(12345)
+    n = 1_000_000
+    u = np.clip(rng.random(n), 2.0**-53, 1.0 - 2.0**-53)
+    mu = rng.uniform(0.0, 12.0, n)
+    mu[:1000] = 0.0
+    mu[1000:2000] = rng.uniform(30.0, 60.0, 1000)
+    u[2000:2100] = 1.0 - 2.0**-53
+    counts = poisson_inverse(u, mu)
+    for k in range(8):
+        assert np.array_equal(u >= poisson_cdf(k, mu), counts > k)
+
+
+def test_blocks_of_neighbouring_seeds_draw_distinct_streams(monkeypatch):
+    """Block 1 of seed s must not replay block 0 of seed s + 1."""
+    c = make_ook(1.0)
+    cfg = ReceiverConfig(beta=0.0, threshold_k=0, pnr_ceiling=1)
+    run_block = montecarlo._run_block
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 100)
+
+    def block_keys(seed):
+        keys = []
+
+        def record(*args):
+            keys.append(args[3])
+            return run_block(*args)
+
+        monkeypatch.setattr(montecarlo, "_run_block", record)
+        simulate_perr(c, cfg, NOISELESS, TrialConfig(trials=300, seed=seed))
+        return keys
+
+    def stream(key):
+        return np.random.Generator(np.random.Philox(key=key)).random(8)
+
+    first, second = block_keys(40), block_keys(41)
+    assert len(first) == len(second) == 3
+    assert first[0] == 40
+    assert not np.array_equal(stream(first[1]), stream(second[0]))
+    assert len(set(first + second)) == 6
 
 
 def test_single_trial_is_zero_or_one():

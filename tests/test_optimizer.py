@@ -104,6 +104,13 @@ def test_sweep_grid_order_and_pnr_nesting():
         assert by[(3, sigma)] <= by[(1, sigma)] * (1.0 + 1e-10)
 
 
+def test_parallel_sweep_matches_serial():
+    serial = sweep_sigma(2.0, [0.0, 0.45], [2], **FAST)
+    parallel = sweep_sigma(2.0, [0.0, 0.45], [2], jobs=2, **FAST)
+    assert all(c.error is None for c in parallel)
+    assert parallel == serial
+
+
 def test_sweep_records_failures_per_cell():
     cells = sweep_sigma(2.0, [0.1], [1, 2], grid_resolution=1, beta_resolution=81)
     assert all(c.result is None for c in cells)

@@ -67,11 +67,19 @@ def test_characteristic_function_values():
     noise = PhaseNoise(0.45)
     assert average(noise, np.cos) == pytest.approx(EXP_HALF_S45, rel=1e-12)
     assert average(noise, lambda p: np.cos(3.0 * p)) == pytest.approx(EXP_92_S45, rel=1e-12)
+    assert isinstance(average(noise, np.cos), float)
+    # a stacked integrand gives one average per row
+    got = average(noise, lambda p: np.stack([np.cos(p), np.cos(3.0 * p)]))
+    assert got.shape == (2,)
+    assert got[0] == pytest.approx(EXP_HALF_S45, rel=1e-12)
+    assert got[1] == pytest.approx(EXP_92_S45, rel=1e-12)
 
 
 def test_zero_sigma_average_is_point_evaluation():
     got = average(PhaseNoise(0.0), lambda p: np.cos(p) + 2.0)
     assert got == 3.0
+    got = average(PhaseNoise(0.0), lambda p: np.stack([np.cos(p), p + 2.0]))
+    assert got.tolist() == [1.0, 2.0]
 
 
 def test_adaptive_refinement_reaches_small_values():
@@ -79,6 +87,15 @@ def test_adaptive_refinement_reaches_small_values():
     noise = PhaseNoise(0.8)
     exact = math.exp(-36.0 * 0.64 / 2.0)
     assert average(noise, lambda p: np.cos(6.0 * p)) == pytest.approx(exact, abs=1e-12)
+    # stacked with cos(p), which alone converges at order 64, it still refines
+    orders = []
+
+    def f(p):
+        orders.append(p.size)
+        return np.stack([np.cos(p), np.cos(6.0 * p)])
+
+    assert average(noise, f)[1] == pytest.approx(exact, abs=1e-12)
+    assert orders[-1] > 2 * BASE_ORDER
 
 
 def test_convergence_failure_reports_last_estimates():
@@ -88,6 +105,24 @@ def test_convergence_failure_reports_last_estimates():
     assert math.isfinite(exc.value.coarse)
     assert math.isfinite(exc.value.fine)
     assert str(MAX_ORDER) in str(exc.value)
+    # stacked: the estimates are floats from the component that fails
+    with pytest.raises(ConvergenceError) as exc:
+        average(noise, lambda p: np.stack([np.cos(p), np.cos(800.0 * p)]))
+    assert isinstance(exc.value.coarse, float) and isinstance(exc.value.fine, float)
+    assert abs(exc.value.fine - math.exp(-0.5)) > 1e-3
+    assert "component 1" in str(exc.value)
+
+
+def test_failed_average_evaluates_each_order_once():
+    calls = []
+
+    def f(p):
+        calls.append(p.size)
+        return np.cos(800.0 * p)
+
+    with pytest.raises(ConvergenceError):
+        average(PhaseNoise(1.0), f)
+    assert calls == [32, 64, 128, 256, 512]
 
 
 def test_tolerance_validation():

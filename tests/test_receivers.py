@@ -19,7 +19,6 @@ from phaserx.receivers import (
     perr_ook_dd,
     perr_sql_baseline,
     photocount_distribution,
-    photocount_probability,
     poisson_cdf,
 )
 
@@ -95,25 +94,23 @@ def test_perr_bpsk_hom_degrades_with_noise():
 
 def test_photocount_probability_noiseless_is_poisson():
     mu = abs(1.1 * 1.0 + 0.4) ** 2
+    probs = photocount_distribution(1.1, 0.4, NOISELESS, truncation=5).probs
     for k in range(6):
-        assert photocount_probability(k, 1.1, 0.4, NOISELESS) == pytest.approx(
-            poisson.pmf(k, mu), rel=1e-12
-        )
+        assert probs[k] == pytest.approx(poisson.pmf(k, mu), rel=1e-12)
 
 
 def test_photocount_probability_against_independent_quadrature():
-    assert photocount_probability(3, 1.2, -0.4, PhaseNoise(0.3)) == pytest.approx(
-        PK3_REAL, rel=1e-11
-    )
-    assert photocount_probability(2, 1 + 0.5j, 0.3 - 0.2j, PhaseNoise(0.25)) == pytest.approx(
-        PK2_COMPLEX, rel=1e-11
-    )
+    real = photocount_distribution(1.2, -0.4, PhaseNoise(0.3), truncation=3)
+    assert real.probs[3] == pytest.approx(PK3_REAL, rel=1e-11)
+    cplx = photocount_distribution(1 + 0.5j, 0.3 - 0.2j, PhaseNoise(0.25), truncation=2)
+    assert cplx.probs[2] == pytest.approx(PK2_COMPLEX, rel=1e-11)
 
 
 def test_photocount_probability_nulled_vacuum():
     # displacement exactly cancels the signal: all mass at k = 0
-    assert photocount_probability(0, 1.3, -1.3, NOISELESS) == pytest.approx(1.0, rel=1e-14)
-    assert photocount_probability(2, 1.3, -1.3, NOISELESS) == 0.0
+    probs = photocount_distribution(1.3, -1.3, NOISELESS, truncation=2).probs
+    assert probs[0] == pytest.approx(1.0, rel=1e-14)
+    assert probs[2] == 0.0
 
 
 def test_photocount_distribution_normalizes():
@@ -126,8 +123,6 @@ def test_photocount_distribution_normalizes():
 
 
 def test_photocount_validation():
-    with pytest.raises(ValueError):
-        photocount_probability(-1, 1.0, 0.0, NOISELESS)
     with pytest.raises(ValueError):
         photocount_distribution(1.0, 0.0, NOISELESS, truncation=-1)
 
