@@ -14,7 +14,6 @@ from .constellation import (
     make_ook,
     parametrize,
     psd_watts_per_hz,
-    rotate,
 )
 from .helstrom import (
     FockDensityMatrix,
@@ -83,7 +82,6 @@ __all__ = [
     "poisson_cdf",
     "psd_watts_per_hz",
     "required_dim",
-    "rotate",
     "simulate_perr",
     "sweep_sigma",
     "trace_distance",

@@ -1,7 +1,8 @@
 """Command-line front end: point evaluations, sweeps, and optimization runs.
 
 Every CSV starts with '#'-prefixed manifest lines (command, parameters, tool
-version, timestamp) so a file documents how it was produced; data rows are
+version, timestamp) so a file documents how it was produced; the parameters
+line records every option that changes a number in the file.  Data rows are
 plain comma-separated values with at least 10 significant digits, and
 re-running a command with the same flags reproduces them byte for byte.
 
@@ -14,7 +15,6 @@ import argparse
 import contextlib
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -43,34 +43,6 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility header embedded in every CSV output."""
-
-    command: str
-    parameters: dict
-    tool_version: str
-    timestamp: str
-
-    @classmethod
-    def create(cls, command: str, parameters: dict) -> "RunManifest":
-        return cls(
-            command=command,
-            parameters=parameters,
-            tool_version=f"phaserx {__version__}",
-            timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        )
-
-    def comment_lines(self) -> list[str]:
-        params = " ".join(f"{k}={v}" for k, v in sorted(self.parameters.items()))
-        return [
-            f"# command: {self.command}",
-            f"# parameters: {params}",
-            f"# tool_version: {self.tool_version}",
-            f"# timestamp: {self.timestamp}",
-        ]
-
-
 def _fmt(x: float) -> str:
     return f"{x:.10e}"
 
@@ -84,15 +56,20 @@ def _open_output(path: str | None):
             yield fh
 
 
-def _write_csv(fh, manifest: RunManifest, columns: list[str], rows) -> None:
-    for line in manifest.comment_lines():
-        print(line, file=fh)
+def _write_csv(fh, command: str, parameters: dict, columns: list[str], rows) -> None:
+    params = " ".join(f"{k}={v}" for k, v in sorted(parameters.items()))
+    print(f"# command: {command}", file=fh)
+    print(f"# parameters: {params}", file=fh)
+    print(f"# tool_version: phaserx {__version__}", file=fh)
+    print(f"# timestamp: {datetime.now(timezone.utc).isoformat(timespec='seconds')}", file=fh)
     print(",".join(columns), file=fh)
     for row in rows:
         print(",".join(row), file=fh)
 
 
 def _float_range(lo: float, hi: float, step: float) -> np.ndarray:
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError(f"range bounds and step must be finite, got {lo}, {hi}, {step}")
     if step <= 0.0:
         raise ValueError(f"step must be > 0, got {step}")
     if hi < lo:
@@ -126,16 +103,6 @@ def _cmd_sql(args) -> int:
 def _cmd_sweep_nbar(args) -> int:
     nbars = _float_range(args.nbar_min, args.nbar_max, args.step)
     wavelength = args.wavelength_nm * 1e-9
-    manifest = RunManifest.create(
-        "sweep-nbar",
-        {
-            "nbar_min": args.nbar_min,
-            "nbar_max": args.nbar_max,
-            "step": args.step,
-            "wavelength_nm": args.wavelength_nm,
-            "efficiency": args.efficiency,
-        },
-    )
     noiseless = PhaseNoise(0.0)
     rows = []
     for nbar in nbars:
@@ -153,7 +120,15 @@ def _cmd_sweep_nbar(args) -> int:
     with _open_output(args.output) as fh:
         _write_csv(
             fh,
-            manifest,
+            "sweep-nbar",
+            {
+                "nbar_min": args.nbar_min,
+                "nbar_max": args.nbar_max,
+                "step": args.step,
+                "wavelength_nm": args.wavelength_nm,
+                "efficiency": args.efficiency,
+                "tolerance": args.tolerance,
+            },
             ["nbar", "psd_watts_per_hz", "perr_ook_dd", "perr_bpsk_hom",
              "perr_kennedy", "perr_helstrom"],
             rows,
@@ -165,19 +140,6 @@ def _cmd_sweep_sigma(args) -> int:
     sigmas = _float_range(args.sigma_min, args.sigma_max, args.step)
     pnr_list = sorted(set(args.pnr_list))
     nbar = args.efficiency * args.nbar
-    manifest = RunManifest.create(
-        "sweep-sigma",
-        {
-            "nbar": args.nbar,
-            "sigma_min": args.sigma_min,
-            "sigma_max": args.sigma_max,
-            "step": args.step,
-            "pnr_list": ";".join(str(p) for p in pnr_list),
-            "efficiency": args.efficiency,
-            "grid_resolution": args.grid_resolution,
-            "beta_resolution": args.beta_resolution,
-        },
-    )
     cells = sweep_sigma(
         nbar,
         [float(s) for s in sigmas],
@@ -187,9 +149,6 @@ def _cmd_sweep_sigma(args) -> int:
         beta_resolution=args.beta_resolution,
         quad_tolerance=args.tolerance,
     )
-    by_key = {(cell.pnr_ceiling, i % len(sigmas)): cell
-              for i, cell in enumerate(cells)}
-    top = max(pnr_list)
 
     columns = (
         ["sigma", "perr_sql", "perr_helstrom_at_optimum", "perr_helstrom_independent"]
@@ -198,43 +157,49 @@ def _cmd_sweep_sigma(args) -> int:
     )
     rows = []
     for i, sigma in enumerate(sigmas):
-        noise = PhaseNoise(float(sigma))
-        _, hel_best = optimize_helstrom(nbar, noise)
+        _, hel_best = optimize_helstrom(nbar, PhaseNoise(float(sigma)))
+        # sweep_sigma returns the cells PNR-major, so sigma i's cells in
+        # ascending ceiling order are every len(sigmas)-th one from i.
+        row_cells = cells[i::len(sigmas)]
+        for cell in row_cells:
+            if cell.result is None:
+                print(f"warning: optimization failed at sigma={sigma}, "
+                      f"pnr={cell.pnr_ceiling}:\n{cell.error}", file=sys.stderr)
+        # the lead columns come from the highest ceiling
+        lead = row_cells[-1].result
         row = [_fmt(float(sigma))]
-        lead = by_key[(top, i)]
-        if lead.result is not None:
-            row.append(_fmt(lead.result.perr_sql))
-            row.append(_fmt(lead.result.perr_helstrom))
-        else:
-            row.extend(["", ""])
-            print(f"warning: optimization failed at sigma={sigma}, pnr={top}:\n"
-                  f"{lead.error}", file=sys.stderr)
+        row += [_fmt(lead.perr_sql), _fmt(lead.perr_helstrom)] if lead else ["", ""]
         row.append(_fmt(hel_best))
-        for p in pnr_list:
-            cell = by_key[(p, i)]
-            if cell.result is not None:
-                row.append(_fmt(cell.result.perr))
-            else:
-                row.append("")
-                if p != top:
-                    print(f"warning: optimization failed at sigma={sigma}, "
-                          f"pnr={p}:\n{cell.error}", file=sys.stderr)
-        if lead.result is not None:
-            res = lead.result
-            row.extend(
-                [
-                    _fmt(res.constellation.alpha0.real),
-                    _fmt(res.constellation.alpha1.real),
-                    _fmt(res.config.beta.real),
-                    str(res.config.threshold_k),
-                    res.orientation,
-                ]
-            )
+        row += [_fmt(cell.result.perr) if cell.result else "" for cell in row_cells]
+        if lead:
+            row += [
+                _fmt(lead.constellation.alpha0.real),
+                _fmt(lead.constellation.alpha1.real),
+                _fmt(lead.config.beta.real),
+                str(lead.config.threshold_k),
+                lead.orientation,
+            ]
         else:
-            row.extend(["", "", "", "", ""])
+            row += [""] * 5
         rows.append(row)
     with _open_output(args.output) as fh:
-        _write_csv(fh, manifest, columns, rows)
+        _write_csv(
+            fh,
+            "sweep-sigma",
+            {
+                "nbar": args.nbar,
+                "sigma_min": args.sigma_min,
+                "sigma_max": args.sigma_max,
+                "step": args.step,
+                "pnr_list": ";".join(str(p) for p in pnr_list),
+                "efficiency": args.efficiency,
+                "tolerance": args.tolerance,
+                "grid_resolution": args.grid_resolution,
+                "beta_resolution": args.beta_resolution,
+            },
+            columns,
+            rows,
+        )
     return EXIT_OK
 
 
@@ -280,14 +245,19 @@ def _cmd_optimize(args) -> int:
         print(f"validate_z = {z:.4f}")
 
     if args.trace_output:
-        manifest = RunManifest.create(
-            "optimize-trace",
-            {"nbar": args.nbar, "sigma": args.sigma, "pnr": args.pnr},
-        )
         with _open_output(args.trace_output) as fh:
             _write_csv(
                 fh,
-                manifest,
+                "optimize-trace",
+                {
+                    "nbar": args.nbar,
+                    "sigma": args.sigma,
+                    "pnr": args.pnr,
+                    "efficiency": args.efficiency,
+                    "tolerance": args.tolerance,
+                    "grid_resolution": args.grid_resolution,
+                    "beta_resolution": args.beta_resolution,
+                },
                 ["iteration", "perr"],
                 ([str(i), _fmt(p)] for i, p in result.trace),
             )
@@ -302,21 +272,19 @@ def _cmd_pk(args) -> int:
         mu_peak = (abs(alpha) + abs(args.beta)) ** 2
         kmax = math.ceil(mu_peak + 10.0 * math.sqrt(mu_peak + 1.0) + 10.0)
     dist = photocount_distribution(alpha, args.beta, noise, kmax, args.tolerance)
-    manifest = RunManifest.create(
-        "pk",
-        {
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "sigma": args.sigma,
-            "kmax": kmax,
-            "efficiency": args.efficiency,
-            "tail_mass": _fmt(dist.tail_mass),
-        },
-    )
     with _open_output(args.output) as fh:
         _write_csv(
             fh,
-            manifest,
+            "pk",
+            {
+                "alpha": args.alpha,
+                "beta": args.beta,
+                "sigma": args.sigma,
+                "kmax": kmax,
+                "efficiency": args.efficiency,
+                "tolerance": args.tolerance,
+                "tail_mass": _fmt(dist.tail_mass),
+            },
             ["k", "probability"],
             ([str(k), _fmt(p)] for k, p in enumerate(dist.probs)),
         )

@@ -7,7 +7,6 @@ constellation is ``nbar = (|alpha0|**2 + |alpha1|**2) / 2``.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -38,17 +37,23 @@ class BinaryConstellation:
         return abs(self.alpha1 - self.alpha0)
 
 
+def check_nbar(nbar: float, positive: bool = False) -> None:
+    """Reject a mean photon number that is not finite, negative, or (with
+    ``positive``) zero; the one check behind every ``nbar`` input."""
+    if not math.isfinite(nbar) or nbar < 0.0 or (positive and nbar == 0.0):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"nbar must be finite and {bound}, got {nbar}")
+
+
 def make_ook(nbar: float) -> BinaryConstellation:
     """On-off keying: ``(0, sqrt(2*nbar))``, mean photon number ``nbar``."""
-    if nbar < 0.0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
+    check_nbar(nbar)
     return BinaryConstellation(0.0, math.sqrt(2.0 * nbar))
 
 
 def make_bpsk(nbar: float) -> BinaryConstellation:
     """Binary phase shift keying: ``(-sqrt(nbar), +sqrt(nbar))``."""
-    if nbar < 0.0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
+    check_nbar(nbar)
     a = math.sqrt(nbar)
     return BinaryConstellation(-a, a)
 
@@ -61,16 +66,9 @@ def parametrize(theta: float, nbar: float) -> BinaryConstellation:
     ``theta = pi/2`` gives OOK, ``theta = 3*pi/4`` gives BPSK up to a global
     sign.
     """
-    if nbar < 0.0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
+    check_nbar(nbar)
     s = math.sqrt(2.0 * nbar)
     return BinaryConstellation(s * math.cos(theta), s * math.sin(theta))
-
-
-def rotate(c: BinaryConstellation, phase: float) -> BinaryConstellation:
-    """Rotate both symbols by a common phase (leaves the power unchanged)."""
-    u = cmath.exp(1j * phase)
-    return BinaryConstellation(c.alpha0 * u, c.alpha1 * u)
 
 
 def psd_watts_per_hz(nbar: float, wavelength: float) -> float:
@@ -80,8 +78,7 @@ def psd_watts_per_hz(nbar: float, wavelength: float) -> float:
     product, giving ``nbar * h * c / wavelength`` in W/Hz.  The wavelength is
     in meters.
     """
-    if nbar < 0.0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
-    if wavelength <= 0.0:
-        raise ValueError(f"wavelength must be > 0, got {wavelength}")
+    check_nbar(nbar)
+    if not (math.isfinite(wavelength) and wavelength > 0.0):
+        raise ValueError(f"wavelength must be finite and > 0, got {wavelength}")
     return nbar * _PLANCK * _SPEED_OF_LIGHT / wavelength

@@ -18,9 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .constellation import BinaryConstellation, parametrize
+from .constellation import BinaryConstellation, check_nbar, parametrize
 from .golden import golden_minimize
 from .phasenoise import PhaseNoise
+
+# optimize_helstrom: constellation angles scanned on [0, pi), and the
+# golden-section bracket width that refines the best of them.
+HELSTROM_GRID = 121
+HELSTROM_XTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -135,21 +140,15 @@ def perr_helstrom(
     return min(max(perr, 0.0), 0.5)
 
 
-def optimize_helstrom(
-    nbar: float,
-    noise: PhaseNoise,
-    grid_resolution: int = 121,
-    refine_tolerance: float = 1e-6,
-) -> tuple[BinaryConstellation, float]:
+def optimize_helstrom(nbar: float, noise: PhaseNoise) -> tuple[BinaryConstellation, float]:
     """Best Helstrom error over real-axis constellations at fixed power.
 
     Scans the power-preserving angle parametrization, then refines the best
     grid cell by golden-section search.  Used for the bound optimized
     independently of any concrete receiver.
     """
-    if nbar <= 0.0:
-        raise ValueError(f"nbar must be > 0, got {nbar}")
-    thetas = np.linspace(0.0, math.pi, grid_resolution, endpoint=False)
+    check_nbar(nbar, positive=True)
+    thetas = np.linspace(0.0, math.pi, HELSTROM_GRID, endpoint=False)
     # common truncation across all candidates: peak symbol energy is 2*nbar
     dim = required_dim(2.0 * nbar)
 
@@ -160,7 +159,7 @@ def optimize_helstrom(
     i = int(np.argmin(values))
     step = thetas[1] - thetas[0]
     theta, perr = golden_minimize(
-        objective, thetas[i] - step, thetas[i] + step, xtol=refine_tolerance
+        objective, thetas[i] - step, thetas[i] + step, xtol=HELSTROM_XTOL
     )
     if values[i] < perr:
         theta, perr = thetas[i], values[i]

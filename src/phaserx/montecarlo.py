@@ -33,7 +33,7 @@ from scipy.special import ndtri
 
 from .constellation import BinaryConstellation
 from .phasenoise import PhaseNoise
-from .receivers import BIT0_HIGH, BIT1_HIGH, ReceiverConfig, poisson_cdf
+from .receivers import BIT0_HIGH, BIT1_HIGH, ReceiverConfig, displaced_intensity, poisson_cdf
 
 BLOCK_SIZE = 1_000_000
 SCHEME_KENNEDY = "generalized-kennedy"
@@ -131,14 +131,14 @@ def _run_block(c, cfg, noise, key, n, scheme, orientation) -> int:
     u = rng.random((n, 3))
     bits = u[:, 0] < 0.5
     phases = noise.sigma * ndtri(np.clip(u[:, 1], _U_EPS, 1.0 - _U_EPS))
-    sent = np.where(bits, c.alpha1, c.alpha0) * np.exp(1j * phases)
+    alpha = np.where(bits, c.alpha1, c.alpha0)
 
     u_out = np.clip(u[:, 2], _U_EPS, 1.0 - _U_EPS)
     if scheme == SCHEME_KENNEDY:
-        z = sent + cfg.beta
-        mu = z.real**2 + z.imag**2
+        mu = displaced_intensity(alpha, cfg.beta, phases)
         high = u_out >= poisson_cdf(cfg.threshold_k, mu)
     else:
+        sent = alpha * np.exp(1j * phases)
         mean = math.sqrt(2.0) * np.real(sent)
         x = mean + math.sqrt(0.5) * ndtri(u_out)
         high = x > cfg

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constellation import BinaryConstellation, parametrize
+from .constellation import BinaryConstellation, check_nbar, parametrize
 from .golden import golden_minimize
 from .helstrom import perr_helstrom
 from .phasenoise import PhaseNoise, build_rule
@@ -36,6 +36,11 @@ from .receivers import (
 
 GRID_QUAD_ORDER = 96
 MAX_REFINE_ROUNDS = 60
+# Golden-section bracket width, and the per-round step below which a seed
+# counts as converged.
+REFINE_TOLERANCE = 1e-8
+# Overall-best grid cells refined on top of the best cell per threshold.
+REFINE_SEEDS = 5
 TIE_WINDOW = 1e-12
 
 
@@ -48,19 +53,14 @@ class OptimizationProblem:
     pnr_ceiling: int
     grid_resolution: int = 181
     beta_resolution: int = 241
-    refine_tolerance: float = 1e-8
     quad_tolerance: float = 1e-10
-    refine_seeds: int = 5
 
     def __post_init__(self):
-        if self.nbar <= 0.0:
-            raise ValueError(f"nbar must be > 0, got {self.nbar}")
+        check_nbar(self.nbar, positive=True)
         if self.pnr_ceiling < 1:
             raise ValueError(f"pnr_ceiling must be >= 1, got {self.pnr_ceiling}")
         if self.grid_resolution < 2 or self.beta_resolution < 2:
             raise ValueError("grid resolutions must be >= 2")
-        if self.refine_tolerance <= 0.0:
-            raise ValueError(f"refine_tolerance must be > 0, got {self.refine_tolerance}")
 
     @property
     def beta_max(self) -> float:
@@ -153,7 +153,7 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
 
         t_new, f_t = golden_minimize(
             lambda t: evaluate(t, beta),
-            theta - theta_step, theta + theta_step, xtol=problem.refine_tolerance,
+            theta - theta_step, theta + theta_step, xtol=REFINE_TOLERANCE,
         )
         if f_t < best:
             moved = max(moved, abs(t_new - theta))
@@ -161,14 +161,14 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
 
         b_new, f_b = golden_minimize(
             lambda v: evaluate(theta, v),
-            beta - beta_step, beta + beta_step, xtol=problem.refine_tolerance,
+            beta - beta_step, beta + beta_step, xtol=REFINE_TOLERANCE,
         )
         if f_b < best:
             moved = max(moved, abs(b_new - beta))
             beta, best = b_new, f_b
 
         trace.append((iteration, best))
-        if moved < problem.refine_tolerance:
+        if moved < REFINE_TOLERANCE:
             break
     return theta, beta, best, trace
 
@@ -179,7 +179,7 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     thetas, betas, grid_perr = _grid_scan(problem)
     theta_step = thetas[1] - thetas[0]
     beta_step = betas[1] - betas[0]
-    seeds = _select_seeds(grid_perr, problem.refine_seeds)
+    seeds = _select_seeds(grid_perr, REFINE_SEEDS)
 
     candidates = []
     for k, i, j in seeds:

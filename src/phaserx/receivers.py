@@ -16,7 +16,7 @@ from itertools import islice
 import numpy as np
 from scipy.special import erfc, gammaln, xlogy
 
-from .constellation import BinaryConstellation
+from .constellation import BinaryConstellation, check_nbar
 from .phasenoise import PhaseNoise, average
 
 # Decision-rule orientations: which bit value is assigned to counts above
@@ -117,18 +117,8 @@ def perr_ook_dd(nbar: float) -> float:
     Errors occur only when the bright symbol yields zero counts; phase noise
     leaves this scheme untouched.
     """
-    if nbar < 0.0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
+    check_nbar(nbar)
     return 0.5 * math.exp(-2.0 * nbar)
-
-
-def homodyne_pdf(x, alpha: complex):
-    """Quadrature outcome density ``exp(-(x - sqrt(2)*Re(alpha))**2)/sqrt(pi)``.
-
-    Dimensionless units with shot-noise variance 1/2; integrates to 1 in x.
-    """
-    mean = math.sqrt(2.0) * complex(alpha).real
-    return np.exp(-np.square(np.asarray(x, dtype=float) - mean)) / math.sqrt(math.pi)
 
 
 def perr_bpsk_hom(nbar: float, noise: PhaseNoise, tolerance: float = 1e-10) -> float:
@@ -138,8 +128,7 @@ def perr_bpsk_hom(nbar: float, noise: PhaseNoise, tolerance: float = 1e-10) -> f
     form, leaving ``< erfc(sqrt(2*nbar)*cos(phi))/2 >_phi``.  At sigma = 0
     this reduces exactly to ``(1 - erf(sqrt(2*nbar)))/2``.
     """
-    if nbar < 0.0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
+    check_nbar(nbar)
     amp = math.sqrt(2.0 * nbar)
 
     def integrand(phases: np.ndarray) -> np.ndarray:

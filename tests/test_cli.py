@@ -1,4 +1,3 @@
-import math
 import re
 import shlex
 from pathlib import Path
@@ -117,6 +116,25 @@ def test_sweep_sigma_csv(tmp_path, capsys):
         assert row[10] in ("bit1_high", "bit0_high")
 
 
+def test_sweep_sigma_blank_cells_for_failed_optimizations(tmp_path, capsys):
+    # sigma = 40 is far beyond the quadrature order cap, so every receiver
+    # optimization fails; the closed-form Helstrom column does not.
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep-sigma", "--nbar", "2", "--sigma-min", "40", "--sigma-max", "40",
+               "--step", "1", "--pnr-list", "1,2", "--output", str(out), *FAST_GRID])
+    assert rc == EXIT_OK
+    _, header, rows = read_csv(out)
+    assert len(rows) == 1
+    row = dict(zip(header, rows[0]))
+    assert 0.0 < float(row["perr_helstrom_independent"]) < 0.5
+    blank = ["perr_sql", "perr_helstrom_at_optimum", "perr_pnr1", "perr_pnr2",
+             "alpha0", "alpha1", "beta", "threshold_k", "orientation"]
+    assert [row[c] for c in blank] == [""] * len(blank)
+    warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
+    assert warnings == ["warning: optimization failed at sigma=40.0, pnr=1:",
+                        "warning: optimization failed at sigma=40.0, pnr=2:"]
+
+
 def test_optimize_report_and_trace(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     rc = main(["optimize", "--nbar", "2", "--sigma", "0.45", "--pnr", "2",
@@ -194,13 +212,49 @@ def test_helstrom_optimized_constellation(capsys):
     assert float(kv["mean_photon_number"]) == pytest.approx(2.0, rel=1e-9)
 
 
-def test_usage_errors():
+# Options that change no number in the CSV a command writes.
+NOT_IN_MANIFEST = {"subcommand", "func", "output", "jobs", "validate", "seed", "trace_output"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-nbar", "--nbar-max", "1", "--step", "1"],
+    ["sweep-sigma", "--nbar", "2", "--sigma-max", "0", "--step", "1", "--pnr-list", "1",
+     "--grid-resolution", "5", "--beta-resolution", "5"],
+    ["optimize", "--nbar", "2", "--sigma", "0", "--pnr", "1",
+     "--grid-resolution", "5", "--beta-resolution", "5"],
+    ["pk", "--alpha", "1.2", "--sigma", "0.3", "--kmax", "4"],
+])
+def test_manifest_records_every_number_changing_option(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    flag = "--trace-output" if argv[0] == "optimize" else "--output"
+    argv = [*argv, "--tolerance", "1e-9", "--efficiency", "0.9", flag, str(out)]
+    assert main(argv) == EXIT_OK
+    manifest, _, _ = read_csv(out)
+    (line,) = [l for l in manifest if l.startswith("# parameters: ")]
+    params = dict(kv.split("=", 1) for kv in line.removeprefix("# parameters: ").split())
+    options = set(vars(build_parser().parse_args(argv))) - NOT_IN_MANIFEST
+    assert options <= set(params)
+    assert params["tolerance"] == "1e-09"
+    assert params["efficiency"] == "0.9"
+
+
+def test_usage_errors(capsys):
     assert main(["sql", "--nbar", "2"]) == EXIT_USAGE          # missing --sigma
     assert main(["sql", "--nbar", "abc", "--sigma", "0"]) == EXIT_USAGE
     assert main(["sweep-nbar", "--nbar-max", "2", "--step", "-1",
                  "--output", "-"]) == EXIT_USAGE
     assert main(["helstrom", "--nbar", "2", "--sigma", "0",
                  "--alpha0", "1.0"]) == EXIT_USAGE
+    for value in ("nan", "inf"):
+        assert main(["sql", "--nbar", value, "--sigma", "0"]) == EXIT_USAGE
+        assert "nbar must be finite" in capsys.readouterr().err
+    assert main(["sql", "--nbar", "2", "--sigma", "0", "--efficiency", "nan"]) == EXIT_USAGE
+    for bounds in (["--nbar-max", "inf", "--step", "1"],
+                   ["--nbar-min=-inf", "--nbar-max", "1", "--step", "1"],
+                   ["--nbar-max", "1", "--step", "nan"],
+                   ["--nbar-max", "1", "--step", "inf"]):
+        assert main(["sweep-nbar", *bounds]) == EXIT_USAGE
+        assert "must be finite" in capsys.readouterr().err
 
 
 def test_io_error_exit_code(tmp_path):

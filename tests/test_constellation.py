@@ -8,7 +8,6 @@ from phaserx.constellation import (
     make_ook,
     parametrize,
     psd_watts_per_hz,
-    rotate,
 )
 
 # h*c/lambda at 1550 nm, from CODATA-exact h and c:
@@ -51,14 +50,6 @@ def test_separation():
     assert BinaryConstellation(1j, 1j).separation() == 0.0
 
 
-def test_rotate_preserves_energy_and_separation():
-    c = make_bpsk(2.0)
-    r = rotate(c, 0.7)
-    assert r.mean_photon_number() == pytest.approx(c.mean_photon_number(), rel=1e-14)
-    assert r.separation() == pytest.approx(c.separation(), rel=1e-14)
-    assert r.alpha1 == pytest.approx(c.alpha1 * complex(math.cos(0.7), math.sin(0.7)))
-
-
 def test_rejects_non_finite_amplitudes():
     with pytest.raises(ValueError):
         BinaryConstellation(float("nan"), 1.0)
@@ -72,6 +63,11 @@ def test_nbar_validation():
     with pytest.raises(ValueError):
         parametrize(0.1, -1.0)
     make_ook(0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for build in (make_ook, make_bpsk, lambda n: parametrize(0.3, n),
+                      lambda n: psd_watts_per_hz(n, 1550e-9)):
+            with pytest.raises(ValueError, match="finite"):
+                build(bad)
 
 
 def test_psd_per_photon_energy():
@@ -87,3 +83,6 @@ def test_psd_validation():
         psd_watts_per_hz(1.0, 0.0)
     with pytest.raises(ValueError):
         psd_watts_per_hz(-1.0, 1550e-9)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            psd_watts_per_hz(1.0, bad)

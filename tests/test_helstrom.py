@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from phaserx.constellation import BinaryConstellation, make_bpsk, make_ook, parametrize
+from phaserx.constellation import make_bpsk, make_ook
 from phaserx.helstrom import (
     FockDensityMatrix,
     optimize_helstrom,
@@ -165,3 +165,6 @@ def test_optimize_helstrom_improves_on_named_constellations():
 def test_optimize_helstrom_validation():
     with pytest.raises(ValueError):
         optimize_helstrom(0.0, NOISELESS)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            optimize_helstrom(bad, NOISELESS)

@@ -28,8 +28,9 @@ def test_problem_validation():
         fast_problem(2.0, 0.1, 0)
     with pytest.raises(ValueError):
         fast_problem(2.0, 0.1, 1, grid_resolution=1)
-    with pytest.raises(ValueError):
-        fast_problem(2.0, 0.1, 1, refine_tolerance=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fast_problem(bad, 0.1, 1)
 
 
 def test_beta_window_scales_with_power():

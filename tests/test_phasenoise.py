@@ -8,7 +8,6 @@ from phaserx.phasenoise import (
     MAX_ORDER,
     ConvergenceError,
     PhaseNoise,
-    QuadratureRule,
     average,
     build_rule,
 )

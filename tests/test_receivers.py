@@ -12,7 +12,6 @@ from phaserx.receivers import (
     ReceiverConfig,
     displaced_intensity,
     generalized_kennedy_detail,
-    homodyne_pdf,
     perr_bpsk_hom,
     perr_generalized_kennedy,
     perr_helstrom_noiseless,
@@ -71,11 +70,12 @@ def test_perr_ook_dd_closed_form():
     assert perr_ook_dd(0.0) == 0.5
 
 
-def test_homodyne_pdf_normalization_and_mean():
-    x = np.linspace(-10.0, 14.0, 20001)
-    pdf = homodyne_pdf(x, 1.5 + 0.8j)
-    assert np.trapezoid(pdf, x) == pytest.approx(1.0, rel=1e-10)
-    assert np.trapezoid(x * pdf, x) == pytest.approx(math.sqrt(2.0) * 1.5, rel=1e-9)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_nbar_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        perr_ook_dd(bad)
+    with pytest.raises(ValueError, match="finite"):
+        perr_bpsk_hom(bad, NOISELESS)
 
 
 def test_perr_bpsk_hom_noiseless():
