@@ -2,7 +2,9 @@
 
 Every CSV starts with '#'-prefixed manifest lines (command, parameters, tool
 version, timestamp) so a file documents how it was produced; the parameters
-line records every option that changes a number in the file.  Data rows are
+line records every parsed option except ``output``, ``jobs``, ``validate``,
+``seed`` and ``trace_output``, which change no number (``pk`` records its
+resolved ``kmax``, ``sweep-sigma`` its sorted ``pnr_list``).  Data rows are
 plain comma-separated values with at least 10 significant digits, and
 re-running a command with the same flags reproduces them byte for byte.
 
@@ -28,8 +30,8 @@ from .constellation import (
 )
 from .helstrom import optimize_helstrom, perr_helstrom, required_dim
 from .montecarlo import SCHEME_KENNEDY, TrialConfig, simulate_perr
-from .optimizer import OptimizationProblem, optimize, sweep_sigma
-from .phasenoise import ConvergenceError, PhaseNoise
+from .optimizer import NUMERICAL_FAILURES, OptimizationProblem, optimize, sweep_sigma
+from .phasenoise import PhaseNoise
 from .receivers import (
     perr_bpsk_hom,
     perr_helstrom_noiseless,
@@ -41,6 +43,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
+
+# Parsed options that change no number in a CSV, left out of its manifest.
+NOT_IN_MANIFEST = frozenset(
+    {"subcommand", "func", "output", "jobs", "validate", "seed", "trace_output"}
+)
 
 
 def _fmt(x: float) -> str:
@@ -56,7 +63,11 @@ def _open_output(path: str | None):
             yield fh
 
 
-def _write_csv(fh, command: str, parameters: dict, columns: list[str], rows) -> None:
+def _write_csv(fh, command: str, args, columns: list[str], rows, **resolved) -> None:
+    """Write the manifest lines, the header and ``rows``; ``resolved`` holds the
+    recorded values that differ from the parsed ones."""
+    parameters = {k: v for k, v in vars(args).items() if k not in NOT_IN_MANIFEST}
+    parameters.update(resolved)
     params = " ".join(f"{k}={v}" for k, v in sorted(parameters.items()))
     print(f"# command: {command}", file=fh)
     print(f"# parameters: {params}", file=fh)
@@ -79,6 +90,13 @@ def _float_range(lo: float, hi: float, step: float) -> np.ndarray:
     if abs(last - hi) <= 1e-9 * max(1.0, abs(hi)):
         last = hi
     return np.linspace(lo, last, n)
+
+
+def _search_knobs(args) -> dict:
+    """The ``OptimizationProblem`` search knobs set by the parsed options."""
+    return {"grid_resolution": args.grid_resolution,
+            "beta_resolution": args.beta_resolution,
+            "quad_tolerance": args.tolerance}
 
 
 # ---------------------------------------------------------------------------
@@ -118,21 +136,10 @@ def _cmd_sweep_nbar(args) -> int:
             ]
         )
     with _open_output(args.output) as fh:
-        _write_csv(
-            fh,
-            "sweep-nbar",
-            {
-                "nbar_min": args.nbar_min,
-                "nbar_max": args.nbar_max,
-                "step": args.step,
-                "wavelength_nm": args.wavelength_nm,
-                "efficiency": args.efficiency,
-                "tolerance": args.tolerance,
-            },
-            ["nbar", "psd_watts_per_hz", "perr_ook_dd", "perr_bpsk_hom",
-             "perr_kennedy", "perr_helstrom"],
-            rows,
-        )
+        _write_csv(fh, "sweep-nbar", args,
+                   ["nbar", "psd_watts_per_hz", "perr_ook_dd", "perr_bpsk_hom",
+                    "perr_kennedy", "perr_helstrom"],
+                   rows)
     return EXIT_OK
 
 
@@ -140,15 +147,8 @@ def _cmd_sweep_sigma(args) -> int:
     sigmas = _float_range(args.sigma_min, args.sigma_max, args.step)
     pnr_list = sorted(set(args.pnr_list))
     nbar = args.efficiency * args.nbar
-    cells = sweep_sigma(
-        nbar,
-        [float(s) for s in sigmas],
-        pnr_list,
-        jobs=args.jobs,
-        grid_resolution=args.grid_resolution,
-        beta_resolution=args.beta_resolution,
-        quad_tolerance=args.tolerance,
-    )
+    cells = sweep_sigma(nbar, [float(s) for s in sigmas], pnr_list, jobs=args.jobs,
+                        **_search_knobs(args))
 
     columns = (
         ["sigma", "perr_sql", "perr_helstrom_at_optimum", "perr_helstrom_independent"]
@@ -183,36 +183,15 @@ def _cmd_sweep_sigma(args) -> int:
             row += [""] * 5
         rows.append(row)
     with _open_output(args.output) as fh:
-        _write_csv(
-            fh,
-            "sweep-sigma",
-            {
-                "nbar": args.nbar,
-                "sigma_min": args.sigma_min,
-                "sigma_max": args.sigma_max,
-                "step": args.step,
-                "pnr_list": ";".join(str(p) for p in pnr_list),
-                "efficiency": args.efficiency,
-                "tolerance": args.tolerance,
-                "grid_resolution": args.grid_resolution,
-                "beta_resolution": args.beta_resolution,
-            },
-            columns,
-            rows,
-        )
+        _write_csv(fh, "sweep-sigma", args, columns, rows,
+                   pnr_list=";".join(str(p) for p in pnr_list))
     return EXIT_OK
 
 
 def _cmd_optimize(args) -> int:
     nbar = args.efficiency * args.nbar
-    problem = OptimizationProblem(
-        nbar=nbar,
-        noise=PhaseNoise(args.sigma),
-        pnr_ceiling=args.pnr,
-        grid_resolution=args.grid_resolution,
-        beta_resolution=args.beta_resolution,
-        quad_tolerance=args.tolerance,
-    )
+    problem = OptimizationProblem(nbar=nbar, noise=PhaseNoise(args.sigma),
+                                  pnr_ceiling=args.pnr, **_search_knobs(args))
     result = optimize(problem)
     print(f"nbar = {args.nbar!r}")
     print(f"sigma = {args.sigma!r}")
@@ -246,21 +225,8 @@ def _cmd_optimize(args) -> int:
 
     if args.trace_output:
         with _open_output(args.trace_output) as fh:
-            _write_csv(
-                fh,
-                "optimize-trace",
-                {
-                    "nbar": args.nbar,
-                    "sigma": args.sigma,
-                    "pnr": args.pnr,
-                    "efficiency": args.efficiency,
-                    "tolerance": args.tolerance,
-                    "grid_resolution": args.grid_resolution,
-                    "beta_resolution": args.beta_resolution,
-                },
-                ["iteration", "perr"],
-                ([str(i), _fmt(p)] for i, p in result.trace),
-            )
+            _write_csv(fh, "optimize-trace", args, ["iteration", "perr"],
+                       ([str(i), _fmt(p)] for i, p in result.trace))
     return EXIT_OK
 
 
@@ -273,21 +239,9 @@ def _cmd_pk(args) -> int:
         kmax = math.ceil(mu_peak + 10.0 * math.sqrt(mu_peak + 1.0) + 10.0)
     dist = photocount_distribution(alpha, args.beta, noise, kmax, args.tolerance)
     with _open_output(args.output) as fh:
-        _write_csv(
-            fh,
-            "pk",
-            {
-                "alpha": args.alpha,
-                "beta": args.beta,
-                "sigma": args.sigma,
-                "kmax": kmax,
-                "efficiency": args.efficiency,
-                "tolerance": args.tolerance,
-                "tail_mass": _fmt(dist.tail_mass),
-            },
-            ["k", "probability"],
-            ([str(k), _fmt(p)] for k, p in enumerate(dist.probs)),
-        )
+        _write_csv(fh, "pk", args, ["k", "probability"],
+                   ([str(k), _fmt(p)] for k, p in enumerate(dist.probs)),
+                   kmax=kmax, tail_mass=_fmt(dist.tail_mass))
     return EXIT_OK
 
 
@@ -321,6 +275,13 @@ def _cmd_helstrom(args) -> int:
 # parser
 
 
+def _efficiency(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, *, nbar: bool = True, sigma: bool = True):
     if nbar:
         p.add_argument("--nbar", type=float, required=True,
@@ -328,9 +289,9 @@ def _add_common(p: argparse.ArgumentParser, *, nbar: bool = True, sigma: bool = 
     if sigma:
         p.add_argument("--sigma", type=float, required=True,
                        help="phase-noise strength in radians")
-    p.add_argument("--efficiency", type=float, default=1.0,
-                   help="detector efficiency; amplitudes are pre-scaled by its "
-                        "square root (default 1)")
+    p.add_argument("--efficiency", type=_efficiency, default=1.0,
+                   help="detector efficiency in [0, 1]; amplitudes are pre-scaled "
+                        "by its square root (default 1)")
     p.add_argument("--tolerance", type=float, default=1e-10,
                    help="relative tolerance of the phase-average quadrature")
 
@@ -422,11 +383,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConvergenceError as exc:
+    except NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except np.linalg.LinAlgError as exc:
-        print(f"numerical failure (eigensolver): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ import numpy as np
 from .constellation import BinaryConstellation, check_nbar, parametrize
 from .golden import golden_minimize
 from .helstrom import perr_helstrom
-from .phasenoise import PhaseNoise, build_rule
+from .phasenoise import ConvergenceError, PhaseNoise, build_rule, check_tolerance
 from .receivers import (
     ReceiverConfig,
     _poisson_cdfs,
@@ -42,6 +42,9 @@ REFINE_TOLERANCE = 1e-8
 # Overall-best grid cells refined on top of the best cell per threshold.
 REFINE_SEEDS = 5
 TIE_WINDOW = 1e-12
+# Errors that mean an optimization failed numerically rather than was asked
+# for something invalid: a sweep records them per cell, the CLI exits 4.
+NUMERICAL_FAILURES = (ConvergenceError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,7 @@ class OptimizationProblem:
             raise ValueError(f"pnr_ceiling must be >= 1, got {self.pnr_ceiling}")
         if self.grid_resolution < 2 or self.beta_resolution < 2:
             raise ValueError("grid resolutions must be >= 2")
+        check_tolerance(self.quad_tolerance)
 
     @property
     def beta_max(self) -> float:
@@ -209,14 +213,13 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     )
 
 
-def _sweep_cell(args) -> SweepCell:
-    sigma, pnr, nbar, knobs = args
+def _sweep_cell(problem: OptimizationProblem) -> SweepCell:
     try:
-        problem = OptimizationProblem(nbar=nbar, noise=PhaseNoise(sigma), pnr_ceiling=pnr, **knobs)
-        return SweepCell(sigma=sigma, pnr_ceiling=pnr, result=optimize(problem), error=None)
-    except Exception:
-        return SweepCell(sigma=sigma, pnr_ceiling=pnr, result=None,
-                         error=traceback.format_exc(limit=3))
+        result, error = optimize(problem), None
+    except NUMERICAL_FAILURES:
+        result, error = None, traceback.format_exc(limit=3)
+    return SweepCell(sigma=problem.noise.sigma, pnr_ceiling=problem.pnr_ceiling,
+                     result=result, error=error)
 
 
 def sweep_sigma(
@@ -228,15 +231,21 @@ def sweep_sigma(
 ) -> list[SweepCell]:
     """One optimization per (PNR ceiling, sigma) pair, in that row order.
 
-    A failing cell is recorded with its error instead of aborting the sweep.
+    Every problem is built, and so validated, before the first cell runs:
+    an invalid input raises ``ValueError`` for the whole sweep.  A cell whose
+    optimization fails numerically (``NUMERICAL_FAILURES``) is recorded with
+    its error instead of aborting the sweep; any other error propagates.
     ``jobs > 1`` dispatches cells to a process pool; the output order is the
     grid order either way, so parallel and serial runs agree bit for bit.
     """
     if not sigmas or not pnr_list:
         raise ValueError("sigmas and pnr_list must be non-empty")
-    cells = [(float(sigma), int(pnr), float(nbar), knobs)
-             for pnr in pnr_list for sigma in sigmas]
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    problems = [OptimizationProblem(nbar=float(nbar), noise=PhaseNoise(float(sigma)),
+                                    pnr_ceiling=int(pnr), **knobs)
+                for pnr in pnr_list for sigma in sigmas]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_cell, cells))
-    return [_sweep_cell(c) for c in cells]
+            return list(pool.map(_sweep_cell, problems))
+    return [_sweep_cell(p) for p in problems]

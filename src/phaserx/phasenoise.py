@@ -86,6 +86,13 @@ class QuadratureRule:
         return values @ self.weights
 
 
+def check_tolerance(tolerance: float) -> None:
+    """Reject a quadrature tolerance outside (0, inf); the one check behind
+    every ``tolerance`` input."""
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
+
+
 def build_rule(noise: PhaseNoise, order: int) -> QuadratureRule:
     """Build a Gauss-Hermite rule rescaled to the phase distribution.
 
@@ -133,8 +140,7 @@ def average(noise: PhaseNoise, f, tolerance: float = 1e-10) -> float | np.ndarra
         If the order cap is reached without agreement; carries the last two
         estimates of the component that misses the tolerance by the most.
     """
-    if tolerance <= 0.0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
+    check_tolerance(tolerance)
     if noise.sigma == 0.0:
         point = np.asarray(f(np.zeros(1)), dtype=float)[..., 0]
         return float(point) if point.ndim == 0 else point

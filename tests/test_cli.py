@@ -257,6 +257,23 @@ def test_usage_errors(capsys):
         assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [
+    ["--grid-resolution", "1"],
+    ["--pnr-list", "0"],
+    ["--tolerance", "nan"],
+    ["--tolerance", "inf"],
+    ["--jobs", "0"],
+    ["--efficiency", "3"],
+])
+def test_sweep_sigma_usage_errors_fail_before_any_cell(bad, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep-sigma", "--nbar", "2", "--sigma-max", "0", "--step", "1",
+            "--pnr-list", "1", "--output", str(out), *FAST_GRID, *bad]
+    assert main(argv) == EXIT_USAGE
+    assert not out.exists()
+    assert "warning:" not in capsys.readouterr().err
+
+
 def test_io_error_exit_code(tmp_path):
     missing = tmp_path / "no-such-dir" / "x.csv"
     rc = main(["sweep-nbar", "--nbar-max", "1", "--step", "1", "--output", str(missing)])

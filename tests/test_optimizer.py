@@ -31,6 +31,9 @@ def test_problem_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             fast_problem(bad, 0.1, 1)
+    for bad in (0.0, -1e-10, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            fast_problem(2.0, 0.1, 1, quad_tolerance=bad)
 
 
 def test_beta_window_scales_with_power():
@@ -113,13 +116,26 @@ def test_parallel_sweep_matches_serial():
 
 
 def test_sweep_records_failures_per_cell():
-    cells = sweep_sigma(2.0, [0.1], [1, 2], grid_resolution=1, beta_resolution=81)
-    assert all(c.result is None for c in cells)
-    assert all(c.error and "ValueError" in c.error for c in cells)
+    # sigma = 40 is far beyond the quadrature order cap; sigma = 0.1 is not.
+    filled, failed = sweep_sigma(2.0, [0.1, 40.0], [1], **FAST)
+    assert filled.error is None and filled.result is not None
+    assert failed.result is None
+    assert "ConvergenceError" in failed.error
 
 
-def test_sweep_validation():
-    with pytest.raises(ValueError):
-        sweep_sigma(2.0, [], [1])
-    with pytest.raises(ValueError):
-        sweep_sigma(2.0, [0.1], [])
+def test_sweep_validation(monkeypatch):
+    def never(problem):
+        raise AssertionError("a cell ran")
+
+    # every input is checked before the first cell runs
+    monkeypatch.setattr("phaserx.optimizer.optimize", never)
+    for sigmas, pnr_list, knobs in [
+        ([], [1], FAST),
+        ([0.1], [], FAST),
+        ([0.1], [1], dict(FAST, grid_resolution=1)),
+        ([0.1], [0], FAST),
+        ([0.1], [1], dict(FAST, jobs=0)),
+        ([0.1], [1], dict(FAST, quad_tolerance=math.nan)),
+    ]:
+        with pytest.raises(ValueError):
+            sweep_sigma(2.0, sigmas, pnr_list, **knobs)

@@ -125,8 +125,10 @@ def test_failed_average_evaluates_each_order_once():
 
 
 def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        average(PhaseNoise(0.1), np.cos, tolerance=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        for sigma in (0.0, 0.1):
+            with pytest.raises(ValueError, match="tolerance"):
+                average(PhaseNoise(sigma), np.cos, tolerance=bad)
 
 
 def test_order_doubling_ladder():
