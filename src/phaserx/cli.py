@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .constellation import (
     BinaryConstellation,
+    check_amplitude,
     make_bpsk,
     parametrize,
     psd_watts_per_hz,
@@ -192,6 +193,9 @@ def _cmd_optimize(args) -> int:
     nbar = args.efficiency * args.nbar
     problem = OptimizationProblem(nbar=nbar, noise=PhaseNoise(args.sigma),
                                   pnr_ceiling=args.pnr, **_search_knobs(args))
+    # built first, so that a bad trial count or seed fails before the search
+    trials = (TrialConfig(trials=args.validate, seed=args.seed, scheme=SCHEME_KENNEDY)
+              if args.validate else None)
     result = optimize(problem)
     print(f"nbar = {args.nbar!r}")
     print(f"sigma = {args.sigma!r}")
@@ -207,10 +211,9 @@ def _cmd_optimize(args) -> int:
     print(f"perr_helstrom = {_fmt(result.perr_helstrom)}")
     print(f"sub_sql = {str(result.perr < result.perr_sql).lower()}")
 
-    if args.validate:
-        t = TrialConfig(trials=args.validate, seed=args.seed, scheme=SCHEME_KENNEDY)
+    if trials is not None:
         estimate, std_error = simulate_perr(
-            result.constellation, result.config, problem.noise, t,
+            result.constellation, result.config, problem.noise, trials,
             orientation=result.orientation,
         )
         if std_error > 0.0:
@@ -231,7 +234,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_pk(args) -> int:
-    alpha = math.sqrt(args.efficiency) * args.alpha
+    alpha = check_amplitude("alpha", math.sqrt(args.efficiency) * args.alpha)
+    check_amplitude("beta", args.beta)
     noise = PhaseNoise(args.sigma)
     kmax = args.kmax
     if kmax is None:

@@ -23,10 +23,7 @@ class BinaryConstellation:
 
     def __post_init__(self):
         for name in ("alpha0", "alpha1"):
-            a = complex(getattr(self, name))
-            if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-                raise ValueError(f"{name} must have finite components, got {a}")
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, check_amplitude(name, getattr(self, name)))
 
     def mean_photon_number(self) -> float:
         """Average photon number per symbol, ``(|a0|^2 + |a1|^2)/2``."""
@@ -35,6 +32,15 @@ class BinaryConstellation:
     def separation(self) -> float:
         """Distance ``|alpha1 - alpha0|`` in the complex amplitude plane."""
         return abs(self.alpha1 - self.alpha0)
+
+
+def check_amplitude(name: str, value: complex) -> complex:
+    """``value`` as a complex number, rejecting a non-finite component; the
+    one check behind every amplitude and displacement input."""
+    a = complex(value)
+    if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+        raise ValueError(f"{name} must be finite, got {a}")
+    return a
 
 
 def check_nbar(nbar: float, positive: bool = False) -> None:

@@ -12,7 +12,10 @@ every error-probability computation in the package.
 
 The quadrature family is Gauss-Hermite with the substitution
 phi = sqrt(2)*sigma*t, so the Gaussian weight is absorbed exactly and
-convergence is spectral for the entire integrands that occur here.
+convergence is spectral for the entire integrands that occur here.  The
+adaptive average evaluates its first two orders in one integrand call on
+their concatenated nodes, so an integrand must act elementwise on the
+phases: the value at a node may not depend on the other nodes.
 """
 
 from __future__ import annotations
@@ -127,12 +130,16 @@ def average(noise: PhaseNoise, f, tolerance: float = 1e-10) -> float | np.ndarra
 
     ``f`` must accept an ndarray of phases and return the integrand values
     elementwise, either as an array of the same shape (a scalar integrand,
-    averaged to a float) or stacked as shape ``(m, order)`` (``m`` integrands
-    sharing the nodes, averaged to an array of ``m`` values).  The rule order
-    is doubled from ``BASE_ORDER`` up to ``MAX_ORDER`` until two successive
-    estimates agree to ``tolerance`` in every component (relative, or
-    absolute once the value itself is below the tolerance); the finer
-    estimate is returned.
+    averaged to a float) or stacked as shape ``(m, n)`` for ``n`` phases
+    (``m`` integrands sharing the nodes, averaged to an array of ``m``
+    values).  The rule order is doubled from ``BASE_ORDER`` up to
+    ``MAX_ORDER`` until two successive estimates agree to ``tolerance`` in
+    every component (relative, or absolute once the value itself is below
+    the tolerance); the finer estimate is returned.  Orders ``BASE_ORDER``
+    and ``2*BASE_ORDER`` share one call of ``f`` on their concatenated
+    nodes, split along the last axis, and each further order is one call;
+    every estimate equals that of a separate call per order because ``f``
+    is elementwise in the phases.
 
     Raises
     ------
@@ -149,23 +156,36 @@ def average(noise: PhaseNoise, f, tolerance: float = 1e-10) -> float | np.ndarra
         rule = build_rule(noise, order)
         return rule.average(np.asarray(f(rule.nodes)))
 
-    order = BASE_ORDER
-    fine = estimate(order)
-    while order < MAX_ORDER:
+    def converged(coarse, fine) -> bool:
+        if isinstance(fine, float):
+            return _close(coarse, fine, tolerance)
+        return all(_close(a, b, tolerance) for a, b in zip(coarse.tolist(), fine.tolist()))
+
+    # The first two orders share one integrand call: per call, numpy's
+    # overhead on these short arrays outweighs the arithmetic.
+    base, doubled = build_rule(noise, BASE_ORDER), build_rule(noise, 2 * BASE_ORDER)
+    values = np.asarray(f(np.concatenate((base.nodes, doubled.nodes))))
+    coarse = base.average(values[..., :BASE_ORDER])
+    fine = doubled.average(values[..., BASE_ORDER:])
+    order = 2 * BASE_ORDER
+    while not converged(coarse, fine):
+        if order >= MAX_ORDER:
+            raise _not_converged(coarse, fine, tolerance)
         order *= 2
         coarse, fine = fine, estimate(order)
-        if isinstance(fine, float):
-            if _close(coarse, fine, tolerance):
-                return fine
-        elif all(_close(a, b, tolerance) for a, b in zip(coarse.tolist(), fine.tolist())):
-            return fine
+    return fine
+
+
+def _not_converged(coarse, fine, tolerance: float) -> ConvergenceError:
+    """The error for estimates that still disagree at ``MAX_ORDER``; a stacked
+    average reports the component that misses the tolerance by the most."""
     if isinstance(fine, float):
         where = ""
     else:
         worst = max(range(fine.size), key=lambda i: _miss(coarse[i], fine[i], tolerance))
         where = f" in component {worst}"
         coarse, fine = float(coarse[worst]), float(fine[worst])
-    raise ConvergenceError(
+    return ConvergenceError(
         f"phase average did not converge by order {MAX_ORDER}{where}: estimate "
         f"{coarse!r} at order {MAX_ORDER // 2} vs {fine!r} at order "
         f"{MAX_ORDER} exceeds tolerance {tolerance}",

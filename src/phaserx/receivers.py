@@ -16,7 +16,7 @@ from itertools import islice
 import numpy as np
 from scipy.special import erfc, gammaln, xlogy
 
-from .constellation import BinaryConstellation, check_nbar
+from .constellation import BinaryConstellation, check_amplitude, check_nbar
 from .phasenoise import PhaseNoise, average
 
 # Decision-rule orientations: which bit value is assigned to counts above
@@ -40,10 +40,7 @@ class ReceiverConfig:
     pnr_ceiling: int
 
     def __post_init__(self):
-        b = complex(self.beta)
-        if not (math.isfinite(b.real) and math.isfinite(b.imag)):
-            raise ValueError(f"beta must be finite, got {b}")
-        object.__setattr__(self, "beta", b)
+        object.__setattr__(self, "beta", check_amplitude("beta", self.beta))
         if self.pnr_ceiling < 1:
             raise ValueError(f"pnr_ceiling must be >= 1, got {self.pnr_ceiling}")
         if self.threshold_k < 0:
@@ -151,6 +148,8 @@ def photocount_distribution(
     average.  The integrand is evaluated in log space so large ``k`` cannot
     overflow.
     """
+    check_amplitude("alpha", alpha)
+    check_amplitude("beta", beta)
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
     k = np.arange(truncation + 1.0)[:, None]
@@ -181,13 +180,15 @@ def generalized_kennedy_detail(
     ``P(count <= K | alpha1)/2 + P(count > K | alpha0)/2``, with the
     infinite tail taken by complement of the K-term partial sum.  Both
     orientations of the rule are evaluated and the smaller error is returned
-    together with the orientation that achieves it.
+    together with the orientation that achieves it.  Both symbols'
+    intensities and CDFs are computed as one ``(2, n)`` batch per set of
+    phases.
     """
     k = cfg.threshold_k
+    alphas = np.array([[c.alpha1], [c.alpha0]])
 
     def integrand(phases: np.ndarray) -> np.ndarray:
-        low1 = poisson_cdf(k, displaced_intensity(c.alpha1, cfg.beta, phases))
-        low0 = poisson_cdf(k, displaced_intensity(c.alpha0, cfg.beta, phases))
+        low1, low0 = poisson_cdf(k, displaced_intensity(alphas, cfg.beta, phases))
         return 0.5 * low1 + 0.5 * (1.0 - low0)
 
     perr = average(noise, integrand, tolerance)

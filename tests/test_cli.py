@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from phaserx import cli
 from phaserx.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from phaserx.phasenoise import PhaseNoise
 from phaserx.receivers import perr_bpsk_hom, perr_helstrom_noiseless, perr_ook_dd
@@ -255,6 +256,24 @@ def test_usage_errors(capsys):
                    ["--nbar-max", "1", "--step", "inf"]):
         assert main(["sweep-nbar", *bounds]) == EXIT_USAGE
         assert "must be finite" in capsys.readouterr().err
+    # non-finite amplitudes fail before the default kmax or any average
+    for amplitudes in (["--alpha", "1", "--beta", "inf"],
+                       ["--alpha", "nan", "--beta", "0", "--kmax", "3"],
+                       ["--alpha", "inf"],
+                       ["--alpha", "1", "--beta", "nan", "--kmax", "3"]):
+        assert main(["pk", *amplitudes, "--sigma", "0.1"]) == EXIT_USAGE
+        assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [["--validate", "-5"], ["--validate", "10", "--seed", "-1"]])
+def test_optimize_validation_errors_fail_before_the_search(bad, monkeypatch, capsys):
+    def no_search(problem):
+        raise AssertionError("the search ran before the trial settings were checked")
+
+    monkeypatch.setattr(cli, "optimize", no_search)
+    assert main(["optimize", "--nbar", "2", "--sigma", "0", "--pnr", "1",
+                 *FAST_GRID, *bad]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("bad", [

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 from phaserx.phasenoise import (
     BASE_ORDER,
@@ -121,7 +122,78 @@ def test_failed_average_evaluates_each_order_once():
 
     with pytest.raises(ConvergenceError):
         average(PhaseNoise(1.0), f)
-    assert calls == [32, 64, 128, 256, 512]
+    # orders 32 and 64 share the first call on their 96 concatenated nodes
+    assert calls == [32 + 64, 128, 256, 512]
+
+
+def _ladder_one_call_per_order(noise, f, tolerance=1e-10):
+    """Reference ladder: one ``build_rule`` and one integrand call per order.
+
+    Returns the order it stopped at with its last two estimates, stopped at
+    ``MAX_ORDER`` when they still disagree.
+    """
+    def estimate(order):
+        rule = build_rule(noise, order)
+        return rule.average(np.asarray(f(rule.nodes)))
+
+    def close(a, b):
+        return abs(a - b) <= tolerance * (abs(b) if abs(b) > tolerance else 1.0)
+
+    order = BASE_ORDER
+    fine = estimate(order)
+    while order < MAX_ORDER:
+        order *= 2
+        coarse, fine = fine, estimate(order)
+        if all(close(a, b) for a, b in zip(np.atleast_1d(coarse), np.atleast_1d(fine))):
+            break
+    return order, coarse, fine
+
+
+INTEGRANDS = {
+    "cos": np.cos,
+    "erfc": lambda p: 0.5 * erfc(2.0 * np.cos(p)),
+    "stacked": lambda p: np.stack([np.cos(p), np.exp(np.sin(3.0 * p)), np.cos(6.0 * p)]),
+}
+
+
+def test_average_equals_one_call_per_order():
+    # A changed summation alters the rounding of only some estimates, so
+    # each integrand is compared over a grid of sigmas.
+    stops = set()
+    for name, f in INTEGRANDS.items():
+        for sigma in np.linspace(0.05, 0.6, 12):
+            noise = PhaseNoise(float(sigma))
+            order, _, fine = _ladder_one_call_per_order(noise, f)
+            assert order < MAX_ORDER, (name, sigma)
+            stops.add(order)
+            got = average(noise, f)
+            assert type(got) is type(fine)
+            assert np.all(got == fine), (name, sigma)
+    # the shared first call decides some averages, further orders others
+    assert stops == {64, 128, 256}
+
+
+@pytest.mark.parametrize("integrand, component", [
+    (lambda p: np.cos(800.0 * p), None),
+    (lambda p: np.stack([np.cos(p), np.cos(800.0 * p)]), 1),
+])
+def test_failed_average_equals_one_call_per_order(integrand, component):
+    noise = PhaseNoise(1.0)
+    order, coarse, fine = _ladder_one_call_per_order(noise, integrand)
+    assert order == MAX_ORDER
+    where = ""
+    if component is not None:
+        coarse, fine = float(coarse[component]), float(fine[component])
+        where = f" in component {component}"
+    with pytest.raises(ConvergenceError) as exc:
+        average(noise, integrand)
+    assert exc.value.coarse == coarse
+    assert exc.value.fine == fine
+    assert str(exc.value) == (
+        f"phase average did not converge by order {MAX_ORDER}{where}: estimate "
+        f"{coarse!r} at order {MAX_ORDER // 2} vs {fine!r} at order {MAX_ORDER} "
+        f"exceeds tolerance 1e-10"
+    )
 
 
 def test_tolerance_validation():
