@@ -210,6 +210,8 @@ def _cmd_optimize(args) -> int:
     print(f"perr_sql = {_fmt(result.perr_sql)}")
     print(f"perr_helstrom = {_fmt(result.perr_helstrom)}")
     print(f"sub_sql = {str(result.perr < result.perr_sql).lower()}")
+    print(f"gradient_norm = {_fmt(result.gradient_norm)}")
+    print(f"capped_seeds = {result.capped_seeds}")
 
     if trials is not None:
         estimate, std_error = simulate_perr(
@@ -352,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=20260822,
                    help="oracle RNG seed (with --validate)")
     p.add_argument("--trace-output", default=None,
-                   help="optional CSV path for the refinement audit trace")
+                   help="optional CSV path for the audit trace of the winning seed's "
+                        "Newton refinement: the best error probability per iteration")
     _add_common(p)
     _add_grid_knobs(p)
     p.set_defaults(func=_cmd_optimize)

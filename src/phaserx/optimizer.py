@@ -9,8 +9,14 @@ parameters and the optimum can be taken on the real axis; the test suite
 guards that restriction with an imaginary-perturbation check.
 
 The search is fully deterministic: a dense (theta, beta) grid per threshold
-value seeds coordinate-wise golden-section refinement, and ties are broken
+value seeds a damped Newton refinement in (theta, beta), and ties are broken
 by smaller ``K``, then smaller ``|beta|``, then smaller ``theta``.
+
+The error probability is a phase average of Poisson CDFs ``F_K(mu)`` of the
+symbol intensities ``mu = a**2 + beta**2 + 2*a*beta*cos(phi)``, and
+``dF_K/dmu = -p_K(mu)``, so its gradient and Hessian in (theta, beta) are
+phase averages of the same kind.  Refinement steers by them on a fixed-order
+rule and accepts a point only on its adaptively averaged error probability.
 """
 
 from __future__ import annotations
@@ -29,17 +35,20 @@ from .phasenoise import ConvergenceError, PhaseNoise, build_rule, check_toleranc
 from .receivers import (
     ReceiverConfig,
     _poisson_cdfs,
+    _poisson_pmf,
     displaced_intensity,
     generalized_kennedy_detail,
     perr_sql_baseline,
+    poisson_cdf,
 )
 
 GRID_QUAD_ORDER = 96
+# Fixed rule order of the derivative averages that steer refinement.
+DERIVATIVE_QUAD_ORDER = 128
 MAX_REFINE_ROUNDS = 60
-# Golden-section bracket width, and the per-round step below which a seed
-# counts as converged.
+# Step length, in grid cells, below which a seed counts as converged.
 REFINE_TOLERANCE = 1e-8
-# Overall-best grid cells refined on top of the best cell per threshold.
+# Best grid cells refined per threshold.
 REFINE_SEEDS = 5
 TIE_WINDOW = 1e-12
 # Errors that mean an optimization failed numerically rather than was asked
@@ -82,6 +91,11 @@ class OptimizationResult:
     perr_helstrom: float
     orientation: str
     trace: tuple[tuple[int, float], ...] = field(repr=False)
+    # Norm of the grid-scaled gradient of ``perr`` at the optimum (on the
+    # derivative rule), and how many refinement seeds stopped on
+    # ``MAX_REFINE_ROUNDS`` instead of converging.
+    gradient_norm: float
+    capped_seeds: int
 
 
 @dataclass(frozen=True)
@@ -120,27 +134,117 @@ def _grid_scan(problem: OptimizationProblem):
 
 
 def _select_seeds(perr: np.ndarray, nseeds: int) -> list[tuple[int, int, int]]:
-    """Deterministic seed set: best grid cell per threshold plus the overall
-    top ``nseeds`` cells (stable row-major order on ties)."""
-    seeds: list[tuple[int, int, int]] = []
-    kmax1 = perr.shape[0]
-    for k in range(kmax1):
-        i, j = np.unravel_index(int(np.argmin(perr[k])), perr.shape[1:])
-        seeds.append((k, int(i), int(j)))
-    order = np.argsort(perr, axis=None, kind="stable")[:nseeds]
-    for flat in order:
-        k, i, j = np.unravel_index(int(flat), perr.shape)
-        seeds.append((int(k), int(i), int(j)))
-    return list(dict.fromkeys(seeds))
+    """Deterministic seed set: the ``nseeds`` best grid cells of each
+    threshold (stable row-major order on ties).
+
+    A threshold's grid slice does not depend on the PNR ceiling, so a higher
+    ceiling refines every seed of a lower one and its optimum can only be
+    equal or lower.
+    """
+    flat = np.argsort(perr.reshape(perr.shape[0], -1), axis=1, kind="stable")
+    return [(k, *(int(n) for n in np.unravel_index(int(f), perr.shape[1:])))
+            for k, row in enumerate(flat[:, :nseeds]) for f in row]
+
+
+def _perr_terms(nbar: float, k: int, theta: float, beta: float, rule) -> np.ndarray:
+    """Best-orientation error probability at threshold ``k`` with its first
+    and second derivatives, ``[P, P_t, P_b, P_tt, P_tb, P_bb]`` in
+    (t, b) = (theta, beta), averaged on the fixed rule ``rule``.
+
+    With ``a1 = s*sin(theta)``, ``a0 = s*cos(theta)`` and
+    ``F(mu) = P(count <= k | mu)``, ``P = F(mu1)/2 + (1 - F(mu0))/2`` under
+    ``bit1_high``; ``F' = -p_k`` and ``F'' = p_k - p_(k-1)`` give the rest by
+    the chain rule.  Under ``bit0_high`` the error is ``1 - P``, so every
+    derivative changes sign.
+    """
+    s = math.sqrt(2.0 * nbar)
+    a = np.array([[s * math.sin(theta)], [s * math.cos(theta)]])  # alpha1, alpha0
+    da = np.array([[a[1, 0]], [-a[0, 0]]])  # d a / d theta; d2 a / d theta2 = -a
+    cos = np.cos(rule.nodes)
+    mu = displaced_intensity(a, beta, rule.nodes)
+    mu_a = 2.0 * (a + beta * cos)
+    mu_t = mu_a * da
+    mu_b = 2.0 * (beta + a * cos)
+    mu_tt = 2.0 * da * da - mu_a * a
+    mu_tb = 2.0 * cos * da
+    pmf = _poisson_pmf(np.arange(max(k - 1, 0), k + 1.0)[:, None, None], mu)
+    d1 = -pmf[-1]
+    d2 = pmf[-1] - pmf[0] if k > 0 else pmf[-1]
+    terms = np.stack([
+        poisson_cdf(k, mu),
+        d1 * mu_t,
+        d1 * mu_b,
+        d2 * mu_t * mu_t + d1 * mu_tt,
+        d2 * mu_t * mu_b + d1 * mu_tb,
+        d2 * mu_b * mu_b + 2.0 * d1,
+    ])
+    out = rule.average(0.5 * (terms[:, 0] - terms[:, 1]))
+    out[0] += 0.5
+    if out[0] > 0.5:
+        out = -out
+        out[0] += 1.0
+    return out
+
+
+def _scaled_derivatives(nbar: float, k: int, theta: float, beta: float,
+                        scale: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of the error probability in grid-scaled
+    coordinates ``(theta/scale[0], beta/scale[1])``."""
+    _, pt, pb, ptt, ptb, pbb = _perr_terms(nbar, k, theta, beta, rule)
+    grad = np.array([pt, pb]) * scale
+    hess = np.array([[ptt, ptb], [ptb, pbb]]) * np.outer(scale, scale)
+    return grad, hess
+
+
+def _trust_region_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.ndarray:
+    """Exact minimizer of ``grad.p + p.hess.p/2`` over ``|p| <= radius``.
+
+    The Newton step when ``hess`` is positive definite and the step fits;
+    otherwise the boundary step ``-(hess + shift*I)^-1 grad``, its shift
+    found by bisection.  When ``grad`` has no component along a
+    non-positive curvature direction and no shift reaches the boundary (the
+    "hard case"), the step is completed along that direction.
+    """
+    lam, vecs = np.linalg.eigh(hess)
+    (l0, l1), (g0, g1) = lam.tolist(), (vecs.T @ grad).tolist()
+
+    def step(shift: float) -> list[float]:
+        return [-g / (lam_i + shift) if g else 0.0 for g, lam_i in ((g0, l0), (g1, l1))]
+
+    if l0 > 0.0 and math.hypot(*step(0.0)) <= radius:
+        return vecs @ step(0.0)
+    lo = max(0.0, -l0)
+    if g0 == 0.0 and l1 + lo > 0.0 and math.hypot(*step(lo)) <= radius:
+        p = step(lo)
+        p[0] = math.sqrt(radius * radius - p[1] * p[1])
+        return vecs @ p
+    # The step is longer than ``radius`` just above ``lo`` and no longer at
+    # ``hi``, where every shifted curvature is at least ``|grad|/radius``.
+    hi = lo + math.hypot(g0, g1) / radius
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if math.hypot(*step(mid)) > radius:
+            lo = mid
+        else:
+            hi = mid
+    return vecs @ step(hi)
 
 
 def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
             theta_step: float, beta_step: float):
-    """Coordinate-wise golden-section descent from one grid seed.
+    """Damped Newton descent in (theta, beta) from one grid seed.
 
-    Never regresses: each coordinate update is accepted only if it improves
-    on the best value evaluated so far (the adaptively re-evaluated seed is
-    iteration 0 of the audit trace).
+    Coordinates are scaled by the grid steps, so one unit is one grid cell.
+    Each iteration takes the trust-region step of the quadratic model built
+    from ``_perr_terms``, within a radius of at most one cell.  If the step
+    does not lower the adaptively evaluated error, ``golden_minimize``
+    searches along it.  The next radius is twice the accepted step, capped
+    at one cell, and the seed has converged once the accepted step is
+    shorter than ``REFINE_TOLERANCE`` cells.
+
+    Never regresses: a point is accepted only if its adaptive error is below
+    the best so far (the adaptively evaluated seed is iteration 0 of the
+    audit trace), so each reported value keeps its quadrature tolerance.
     """
 
     def evaluate(theta: float, beta: float) -> float:
@@ -149,37 +253,45 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
             parametrize(theta, problem.nbar), cfg, problem.noise, problem.quad_tolerance
         )[0]
 
+    rule = build_rule(problem.noise, DERIVATIVE_QUAD_ORDER)
+    scale = np.array([theta_step, beta_step])
     theta, beta = theta0, beta0
     best = evaluate(theta, beta)
     trace = [(0, best)]
+    radius = 1.0
     for iteration in range(1, MAX_REFINE_ROUNDS + 1):
+        grad, hess = _scaled_derivatives(problem.nbar, k, theta, beta, scale, rule)
+        step = _trust_region_step(grad, hess, radius)
+        length = math.hypot(*step)
         moved = 0.0
+        if length >= REFINE_TOLERANCE:
+            dtheta, dbeta = step * scale
+            full = evaluate(theta + dtheta, beta + dbeta)
+            t, value = 1.0, full
+            if full >= best:
+                # Both ends are known: the current point and the full step.
+                def along(u: float) -> float:
+                    if u == 0.0:
+                        return best
+                    if u == 1.0:
+                        return full
+                    return evaluate(theta + u * dtheta, beta + u * dbeta)
 
-        t_new, f_t = golden_minimize(
-            lambda t: evaluate(t, beta),
-            theta - theta_step, theta + theta_step, xtol=REFINE_TOLERANCE,
-        )
-        if f_t < best:
-            moved = max(moved, abs(t_new - theta))
-            theta, best = t_new, f_t
-
-        b_new, f_b = golden_minimize(
-            lambda v: evaluate(theta, v),
-            beta - beta_step, beta + beta_step, xtol=REFINE_TOLERANCE,
-        )
-        if f_b < best:
-            moved = max(moved, abs(b_new - beta))
-            beta, best = b_new, f_b
-
+                t, value = golden_minimize(along, 0.0, 1.0, xtol=REFINE_TOLERANCE / length)
+            if value < best:
+                theta, beta, best = theta + t * dtheta, beta + t * dbeta, value
+                moved = t * length
         trace.append((iteration, best))
         if moved < REFINE_TOLERANCE:
             break
+        radius = min(1.0, 2.0 * moved)
     return theta, beta, best, trace
 
 
 def optimize(problem: OptimizationProblem) -> OptimizationResult:
     """Full deterministic search: exhaustive threshold scan, dense grid
-    seeding, then golden-section refinement of the best seeds."""
+    seeding, then damped Newton refinement of the best seeds of each
+    threshold."""
     thetas, betas, grid_perr = _grid_scan(problem)
     theta_step = thetas[1] - thetas[0]
     beta_step = betas[1] - betas[0]
@@ -202,6 +314,9 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     perr, orientation = generalized_kennedy_detail(
         constellation, config, problem.noise, problem.quad_tolerance
     )
+    grad, _ = _scaled_derivatives(problem.nbar, k, theta, beta,
+                                  np.array([theta_step, beta_step]),
+                                  build_rule(problem.noise, DERIVATIVE_QUAD_ORDER))
     return OptimizationResult(
         constellation=constellation,
         config=config,
@@ -210,6 +325,8 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
         perr_helstrom=perr_helstrom(constellation, problem.noise),
         orientation=orientation,
         trace=tuple(trace),
+        gradient_norm=math.hypot(*grad),
+        capped_seeds=sum(c[4][-1][0] >= MAX_REFINE_ROUNDS for c in candidates),
     )
 
 

@@ -108,6 +108,15 @@ def poisson_cdf(k: int, mu: np.ndarray) -> np.ndarray:
     return next(islice(_poisson_cdfs(np.asarray(mu, dtype=float)), k, None))
 
 
+def _poisson_pmf(k, mu):
+    """Poisson ``P(count = k)`` for count(s) ``k`` and mean(s) ``mu``.
+
+    Evaluated in log space, so large ``k`` cannot overflow; ``k`` and ``mu``
+    broadcast against each other.
+    """
+    return np.exp(xlogy(k, mu) - mu - gammaln(k + 1.0))
+
+
 def perr_ook_dd(nbar: float) -> float:
     """OOK with direct detection: ``exp(-2*nbar)/2``.
 
@@ -153,11 +162,9 @@ def photocount_distribution(
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
     k = np.arange(truncation + 1.0)[:, None]
-    lgk = gammaln(k + 1.0)
 
     def integrand(phases: np.ndarray) -> np.ndarray:
-        mu = displaced_intensity(alpha, beta, phases)
-        return np.exp(xlogy(k, mu) - mu - lgk)
+        return _poisson_pmf(k, displaced_intensity(alpha, beta, phases))
 
     probs = average(noise, integrand, tolerance)
     return PhotocountDistribution(

@@ -146,6 +146,8 @@ def test_optimize_report_and_trace(tmp_path, capsys):
     assert float(kv["perr"]) < float(kv["perr_sql"])
     assert float(kv["perr_helstrom"]) <= float(kv["perr"])
     assert kv["sub_sql"] == "true"
+    assert kv["capped_seeds"] == "0"
+    assert 0.0 <= float(kv["gradient_norm"]) <= 1e-6 * float(kv["perr"])
     manifest, header, rows = read_csv(trace)
     assert header == ["iteration", "perr"]
     perrs = [float(r[1]) for r in rows]
