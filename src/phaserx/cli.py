@@ -9,6 +9,7 @@ plain comma-separated values with at least 10 significant digits, and
 re-running a command with the same flags reproduces them byte for byte.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 numerical failure.
+An output path that cannot be written fails with 3 before any work is done.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -53,6 +55,19 @@ NOT_IN_MANIFEST = frozenset(
 
 def _fmt(x: float) -> str:
     return f"{x:.10e}"
+
+
+def _check_writable(path: str | None) -> None:
+    """Raise the ``OSError`` that opening ``path`` for writing would raise, so
+    that a bad output path fails before the work; leaves no file behind."""
+    if path in (None, "-"):
+        return
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        open(path, "a").close()
+    else:
+        os.remove(path)
 
 
 @contextlib.contextmanager
@@ -389,6 +404,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for option in ("output", "trace_output"):
+            _check_writable(getattr(args, option, None))
         return args.func(args)
     except NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

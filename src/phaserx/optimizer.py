@@ -112,13 +112,17 @@ def _grid_scan(problem: OptimizationProblem):
     """Evaluate the error probability on the full (K, theta, beta) grid.
 
     Returns ``(thetas, betas, perr)`` with ``perr[k, i, j]`` the
-    best-orientation error at threshold ``k``.  Uses a fixed-order rule;
-    the grid only seeds refinement, which re-evaluates adaptively.
+    best-orientation error at threshold ``k``.  Uses the fixed-order rule
+    of ``GRID_QUAD_ORDER`` folded onto phi >= 0: with real amplitudes and
+    displacement the intensities ``(a*cos(phi) + beta)**2 + (a*sin(phi))**2``
+    are even in phi bit for bit, so the folded rule agrees with the full
+    one up to the rounding of the sum, at half the integrand evaluations.
+    The grid only seeds refinement, which re-evaluates adaptively.
     """
     s = math.sqrt(2.0 * problem.nbar)
     thetas = np.linspace(0.0, math.pi, problem.grid_resolution, endpoint=False)
     betas = np.linspace(-problem.beta_max, problem.beta_max, problem.beta_resolution)
-    rule = build_rule(problem.noise, GRID_QUAD_ORDER)
+    rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
 
     a0 = (s * np.cos(thetas))[:, None]
     a1 = (s * np.sin(thetas))[:, None]
@@ -135,15 +139,26 @@ def _grid_scan(problem: OptimizationProblem):
 
 def _select_seeds(perr: np.ndarray, nseeds: int) -> list[tuple[int, int, int]]:
     """Deterministic seed set: the ``nseeds`` best grid cells of each
-    threshold (stable row-major order on ties).
+    threshold (all of them on a smaller grid), best first and in row-major
+    order on ties, as the head of a stable ``argsort`` of each slice.
 
-    A threshold's grid slice does not depend on the PNR ceiling, so a higher
-    ceiling refines every seed of a lower one and its optimum can only be
-    equal or lower.
+    A partition finds each slice's ``nseeds``-th smallest value, and only
+    the cells not above it are sorted.  A threshold's grid slice does not
+    depend on the PNR ceiling, so a higher ceiling refines every seed of a
+    lower one and its optimum can only be equal or lower.
     """
-    flat = np.argsort(perr.reshape(perr.shape[0], -1), axis=1, kind="stable")
-    return [(k, *(int(n) for n in np.unravel_index(int(f), perr.shape[1:])))
-            for k, row in enumerate(flat[:, :nseeds]) for f in row]
+    flat = perr.reshape(perr.shape[0], -1)
+    n = min(nseeds, flat.shape[1])
+    kth = np.partition(flat, n - 1, axis=1)[:, n - 1]
+    seeds = []
+    for k, (row, limit) in enumerate(zip(flat, kth)):
+        # "not above" rather than "at or below": when the limit is nan, every
+        # cell stays a candidate, and nan sorts last as in a full argsort.
+        cells = np.flatnonzero(~(row > limit))
+        best = cells[np.argsort(row[cells], kind="stable")[:n]]
+        seeds += [(k, *(int(i) for i in np.unravel_index(int(f), perr.shape[1:])))
+                  for f in best]
+    return seeds
 
 
 def _perr_terms(nbar: float, k: int, theta: float, beta: float, rule) -> np.ndarray:

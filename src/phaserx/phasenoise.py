@@ -70,8 +70,11 @@ class QuadratureRule:
     """Discretization of the Gaussian phase average.
 
     ``sum(weights * f(nodes))`` approximates ``<f>_phi``.  The weights are
-    normalized to sum to 1 (the rule integrates constants exactly) and the
-    nodes come in symmetric pairs (phi, -phi), matching the even weight.
+    normalized to sum to 1 (the rule integrates constants exactly), and
+    ``order`` is the order of the Gauss-Hermite rule the nodes come from.
+    A rule from ``build_rule`` has ``order`` nodes; its folded rule
+    (``fold_even``) keeps only the nodes phi >= 0, about half of them, and
+    is exact for the same integrands as long as they are even in phi.
     """
 
     nodes: np.ndarray = field(repr=False)
@@ -81,12 +84,35 @@ class QuadratureRule:
     def average(self, values: np.ndarray) -> float | np.ndarray:
         """Weighted sum of integrand samples taken at ``nodes``.
 
-        ``values`` of shape ``(order,)`` give a float; a stack of shape
-        ``(m, order)`` gives the ``m`` weighted sums along the last axis.
+        ``values`` of shape ``(n,)``, for the ``n`` nodes, give a float; a
+        stack of shape ``(m, n)`` gives the ``m`` weighted sums along the
+        last axis.
         """
         if values.ndim == 1:
             return float(np.dot(self.weights, values))
         return values @ self.weights
+
+    def fold_even(self) -> QuadratureRule:
+        """The rule for integrands even in phi, ``f(-phi) == f(phi)``.
+
+        Keeps the nodes phi > 0 with their weights doubled, and the centre
+        node phi = 0 of an odd order once, so it needs half the integrand
+        values and, for an even integrand, agrees with this rule up to the
+        rounding of the sum.  The sigma = 0 single-node rule comes back
+        unchanged.
+
+        Raises
+        ------
+        ValueError
+            If the nodes and weights are not exactly mirrored about phi = 0.
+        """
+        if not (np.array_equal(self.nodes, -self.nodes[::-1])
+                and np.array_equal(self.weights, self.weights[::-1])):
+            raise ValueError("only a rule mirrored about phi = 0 can be folded")
+        half, centre = divmod(self.nodes.size, 2)
+        weights = self.weights[half:].copy()
+        weights[centre:] *= 2.0
+        return QuadratureRule(nodes=self.nodes[half:], weights=weights, order=self.order)
 
 
 def check_tolerance(tolerance: float) -> None:

@@ -301,6 +301,25 @@ def test_io_error_exit_code(tmp_path):
     assert rc == EXIT_IO
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep-sigma", "--nbar", "2", "--sigma-max", "0", "--step", "1", "--pnr-list", "1"],
+     "--output"),
+    (["optimize", "--nbar", "2", "--sigma", "0", "--pnr", "1"], "--trace-output"),
+])
+@pytest.mark.parametrize("unwritable", ["no-such-dir/out.csv", "."])
+def test_unwritable_output_fails_before_the_work(argv, flag, unwritable, tmp_path,
+                                                 monkeypatch, capsys):
+    def no_search(problem):
+        raise AssertionError("the search ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "optimize", no_search)
+    monkeypatch.setattr("phaserx.optimizer.optimize", no_search)
+    path = tmp_path / unwritable
+    assert main([*argv, *FAST_GRID, flag, str(path)]) == EXIT_IO
+    assert capsys.readouterr().out == ""
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
 def test_numerical_failure_exit_code(capsys):
     # far beyond the quadrature order cap: the average cannot stabilize
     assert main(["sql", "--nbar", "2", "--sigma", "40"]) == EXIT_NUMERICAL

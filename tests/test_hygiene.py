@@ -1,6 +1,7 @@
-"""Source hygiene checks that need only the standard library."""
+"""Source hygiene checks, made by reading the source with ``ast``."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,3 +51,48 @@ def test_no_catch_all_handlers():
     # results; each handler must name the errors it expects.
     found = [entry for path in SOURCES for entry in _catch_all_handlers(path)]
     assert not found, "bare or catch-all except:\n" + "\n".join(found)
+
+
+def _bench_hooked_names() -> set[str]:
+    """Every ``module.name`` of the package that ``bench/tracing.py`` hooks or
+    reads: the targets of its ``_const`` and ``_hook`` calls, with a loop
+    variable over a tuple of module names expanded, and the ``_NEEDS``
+    entries."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    names = set()
+
+    def visit(node, bound):
+        if (isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+                and isinstance(node.iter, ast.Tuple)):
+            for item in node.iter.elts:
+                for child in node.body:
+                    visit(child, {**bound, node.target.id: item.value})
+            return
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("_const", "_hook")):
+            module, name = (bound[a.id] if isinstance(a, ast.Name) else a.value
+                            for a in node.args[:2])
+            names.add(f"{module}.{name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    visit(tree, {})
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_NEEDS" for t in node.targets):
+            names.update(entry.value for needs in node.value.values for entry in needs.elts)
+    return names
+
+
+def test_bench_hooked_names_exist():
+    # The bench hooks private names by string; one that is renamed away
+    # makes its metrics read null instead of failing here.
+    names = _bench_hooked_names()
+    assert {"optimizer._grid_scan", "optimizer.GRID_QUAD_ORDER", "phasenoise.build_rule",
+            "receivers.generalized_kennedy_detail", "cli.sweep_sigma"} <= names
+    missing = []
+    for entry in sorted(names):
+        module, name = entry.split(".")
+        if getattr(importlib.import_module(f"phaserx.{module}"), name, None) is None:
+            missing.append(f"phaserx.{entry}")
+    assert not missing, "bench/tracing.py hooks names the package lacks:\n" + "\n".join(missing)

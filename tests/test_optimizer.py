@@ -5,15 +5,25 @@ import pytest
 
 from phaserx.constellation import parametrize
 from phaserx.optimizer import (
+    GRID_QUAD_ORDER,
+    REFINE_SEEDS,
     OptimizationProblem,
+    _grid_scan,
     _perr_terms,
     _scaled_derivatives,
+    _select_seeds,
     _trust_region_step,
     optimize,
     sweep_sigma,
 )
 from phaserx.phasenoise import PhaseNoise, build_rule
-from phaserx.receivers import ReceiverConfig, generalized_kennedy_detail, perr_generalized_kennedy
+from phaserx.receivers import (
+    ReceiverConfig,
+    _poisson_cdfs,
+    displaced_intensity,
+    generalized_kennedy_detail,
+    perr_generalized_kennedy,
+)
 
 KENNEDY_2 = 1.677313139512559194e-4  # exp(-8)/2, the exact-nulling feasible point
 
@@ -230,3 +240,60 @@ def test_bright_noiseless_optimum_no_worse_than_coordinate_search():
     res = optimize(fast_problem(5.0, 0.0, 1))
     assert res.perr <= 1.114661948892046e-9
 
+
+def _grid_scan_full_rule(problem):
+    """Reference grid scan: sums over every node of the unfolded rule."""
+    s = math.sqrt(2.0 * problem.nbar)
+    thetas = np.linspace(0.0, math.pi, problem.grid_resolution, endpoint=False)
+    betas = np.linspace(-problem.beta_max, problem.beta_max, problem.beta_resolution)
+    rule = build_rule(problem.noise, GRID_QUAD_ORDER)
+    a0 = (s * np.cos(thetas))[:, None]
+    a1 = (s * np.sin(thetas))[:, None]
+    gap = np.zeros((problem.pnr_ceiling, thetas.size, betas.size))
+    for w, phi in zip(rule.weights, rule.nodes):
+        cdfs0 = _poisson_cdfs(displaced_intensity(a0, betas, phi))
+        cdfs1 = _poisson_cdfs(displaced_intensity(a1, betas, phi))
+        for k, cdf0, cdf1 in zip(range(problem.pnr_ceiling), cdfs0, cdfs1):
+            gap[k] += w * (cdf1 - cdf0)
+    perr = 0.5 + 0.5 * gap
+    return thetas, betas, np.minimum(perr, 1.0 - perr)
+
+
+def _select_seeds_argsort(perr, nseeds):
+    """Reference seed set: the head of a stable argsort of each threshold."""
+    flat = np.argsort(perr.reshape(perr.shape[0], -1), axis=1, kind="stable")
+    return [(k, *(int(n) for n in np.unravel_index(int(f), perr.shape[1:])))
+            for k, row in enumerate(flat[:, :nseeds]) for f in row]
+
+
+@pytest.mark.parametrize("sigma", [0.15, 0.45, 1.0])
+@pytest.mark.parametrize("pnr", [1, 8])
+def test_folded_grid_scan_matches_the_full_rule(sigma, pnr):
+    """Default grid: the scan on the folded rule agrees with the full-rule
+    sum up to rounding and picks the same seeds."""
+    problem = OptimizationProblem(nbar=1.87, noise=PhaseNoise(sigma), pnr_ceiling=pnr)
+    thetas, betas, perr = _grid_scan(problem)
+    ref_thetas, ref_betas, ref = _grid_scan_full_rule(problem)
+    assert np.array_equal(thetas, ref_thetas) and np.array_equal(betas, ref_betas)
+    assert perr.shape == ref.shape == (pnr, 181, 241)
+    assert np.all(np.abs(perr - ref) <= 1e-12 * ref)
+    assert _select_seeds(perr, REFINE_SEEDS) == _select_seeds_argsort(ref, REFINE_SEEDS)
+
+
+def test_select_seeds_equals_stable_argsort():
+    rng = np.random.default_rng(2027)
+    shapes = [(3, 40, 50), (2, 7, 9), (2, 2, 2), (1, 1, 3), (4, 1, 1)]
+    for shape in shapes:
+        for levels in (1, 2, 3, 7, 1000):
+            # heavy ties: values rounded to a few levels
+            perr = np.round(rng.random(shape) * levels) / levels
+            for nseeds in (1, 2, REFINE_SEEDS, 13):
+                assert _select_seeds(perr, nseeds) == _select_seeds_argsort(perr, nseeds)
+            perr[rng.random(shape) < 0.3] = math.nan
+            for nseeds in (1, REFINE_SEEDS, 13):
+                assert _select_seeds(perr, nseeds) == _select_seeds_argsort(perr, nseeds)
+
+
+def test_optimize_on_a_grid_smaller_than_the_seed_count():
+    res = optimize(fast_problem(2.0, 0.2, 2, grid_resolution=2, beta_resolution=2))
+    assert 0.0 <= res.perr < 0.5

@@ -9,9 +9,11 @@ from phaserx.phasenoise import (
     MAX_ORDER,
     ConvergenceError,
     PhaseNoise,
+    QuadratureRule,
     average,
     build_rule,
 )
+from phaserx.receivers import displaced_intensity, poisson_cdf
 
 # <cos(phi)> under Normal(0, sigma^2) is exp(-sigma^2/2); <cos(d*phi)> is
 # exp(-d^2 sigma^2/2).  High-precision references:
@@ -40,9 +42,49 @@ def test_rule_structure():
     rule = build_rule(PhaseNoise(0.45), 48)
     assert rule.order == 48
     assert rule.weights.sum() == pytest.approx(1.0, rel=1e-14)
-    # symmetric node pairs, scaled by sqrt(2)*sigma
-    assert np.allclose(rule.nodes, -rule.nodes[::-1])
+    # exactly mirrored node and weight pairs, scaled by sqrt(2)*sigma
+    assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+    assert np.array_equal(rule.weights, rule.weights[::-1])
     assert np.max(np.abs(rule.nodes)) < 0.45 * math.sqrt(2.0) * 48
+
+
+EVEN_INTEGRANDS = {
+    "cos": np.cos,
+    "cos^2": lambda p: np.cos(p) ** 2,
+    "exp(-mu)": lambda p: np.exp(-displaced_intensity(1.3, -0.4, p)),
+    "cdf": lambda p: poisson_cdf(2, displaced_intensity(-0.9, 2.1, p)),
+}
+
+
+@pytest.mark.parametrize("order", [96, 128, 97])
+@pytest.mark.parametrize("sigma", [0.15, 0.45, 1.0])
+def test_folded_rule_averages_even_integrands_like_the_full_rule(order, sigma):
+    rule = build_rule(PhaseNoise(sigma), order)
+    folded = rule.fold_even()
+    assert folded.order == order
+    assert folded.nodes.size == order // 2 + order % 2
+    assert folded.nodes.min() >= 0.0
+    assert folded.weights.sum() == pytest.approx(1.0, rel=1e-14)
+    for name, f in EVEN_INTEGRANDS.items():
+        assert folded.average(f(folded.nodes)) == pytest.approx(
+            rule.average(f(rule.nodes)), rel=1e-15, abs=0.0), name
+
+
+def test_folded_zero_sigma_rule_is_unchanged():
+    rule = build_rule(PhaseNoise(0.0), 96)
+    folded = rule.fold_even()
+    assert folded.order == rule.order == 1
+    assert folded.nodes.tolist() == [0.0]
+    assert folded.weights.tolist() == [1.0]
+
+
+def test_fold_rejects_a_rule_that_is_not_mirrored():
+    lopsided = QuadratureRule(nodes=np.array([-1.0, 0.5]), weights=np.full(2, 0.5), order=2)
+    with pytest.raises(ValueError, match="mirrored"):
+        lopsided.fold_even()
+    uneven = QuadratureRule(nodes=np.array([-1.0, 1.0]), weights=np.array([0.4, 0.6]), order=2)
+    with pytest.raises(ValueError, match="mirrored"):
+        uneven.fold_even()
 
 
 def test_rule_rejects_bad_order():
