@@ -36,7 +36,9 @@ from .montecarlo import SCHEME_KENNEDY, TrialConfig, simulate_perr
 from .optimizer import NUMERICAL_FAILURES, OptimizationProblem, optimize, sweep_sigma
 from .phasenoise import PhaseNoise
 from .receivers import (
+    ReceiverConfig,
     perr_bpsk_hom,
+    perr_generalized_kennedy,
     perr_helstrom_noiseless,
     perr_ook_dd,
     photocount_distribution,
@@ -105,7 +107,11 @@ def _float_range(lo: float, hi: float, step: float) -> np.ndarray:
     last = lo + step * (n - 1)
     if abs(last - hi) <= 1e-9 * max(1.0, abs(hi)):
         last = hi
-    return np.linspace(lo, last, n)
+    try:
+        return np.linspace(lo, last, n)
+    except MemoryError as exc:
+        raise ValueError(f"range {lo}..{hi} in steps of {step} has {n} points, "
+                         "too many to allocate") from exc
 
 
 def _search_knobs(args) -> dict:
@@ -141,14 +147,17 @@ def _cmd_sweep_nbar(args) -> int:
     rows = []
     for nbar in nbars:
         nb = args.efficiency * float(nbar)
+        bpsk = make_bpsk(nb)
+        # Kennedy: on-off detection after displacing the symbol -sqrt(nb) to vacuum
+        kennedy = ReceiverConfig(beta=math.sqrt(nb), threshold_k=0, pnr_ceiling=1)
         rows.append(
             [
                 _fmt(float(nbar)),
                 _fmt(psd_watts_per_hz(float(nbar), wavelength)),
                 _fmt(perr_ook_dd(nb)),
                 _fmt(perr_bpsk_hom(nb, noiseless, args.tolerance)),
-                _fmt(0.5 * math.exp(-4.0 * nb)),
-                _fmt(perr_helstrom_noiseless(make_bpsk(nb))),
+                _fmt(perr_generalized_kennedy(bpsk, kennedy, noiseless)),
+                _fmt(perr_helstrom_noiseless(bpsk)),
             ]
         )
     with _open_output(args.output) as fh:

@@ -33,7 +33,14 @@ from scipy.special import ndtri
 
 from .constellation import BinaryConstellation
 from .phasenoise import PhaseNoise
-from .receivers import BIT0_HIGH, BIT1_HIGH, ReceiverConfig, displaced_intensity, poisson_cdf
+from .receivers import (
+    BIT0_HIGH,
+    BIT1_HIGH,
+    ReceiverConfig,
+    _poisson_cdfs,
+    displaced_intensity,
+    poisson_cdf,
+)
 
 BLOCK_SIZE = 1_000_000
 SCHEME_KENNEDY = "generalized-kennedy"
@@ -67,26 +74,20 @@ def poisson_inverse(u: np.ndarray, mu: np.ndarray, max_count: int = 2000) -> np.
     The simulator only needs whether the sample exceeds the threshold and
     reads that off :func:`~phaserx.receivers.poisson_cdf`; this full sampler
     is the reference that decision is tested against.  Sequential search
-    with the all-positive term recurrence; exact for any mean that keeps
-    ``exp(-mu)`` above the underflow threshold.
-    ``max_count`` only guards against a (probability ~2^-53) stall once the
-    term recurrence has underflowed.
+    along :func:`~phaserx.receivers._poisson_cdfs`, the package's one
+    Poisson recurrence; exact for any mean that keeps ``exp(-mu)`` above the
+    underflow threshold.  ``max_count`` only guards against a (probability
+    ~2^-53) stall once the term recurrence has underflowed.
     """
-    term = np.exp(-mu)
-    cdf = term.copy()
     k = np.zeros(u.shape, dtype=np.int64)
-    j = 0
-    while True:
+    for j, cdf in enumerate(_poisson_cdfs(mu)):
         pending = u >= cdf
         if not pending.any():
             break
-        j += 1
-        if j > max_count:
+        if j >= max_count:
             k[pending] = max_count
             break
         k[pending] += 1
-        term = term * mu / j
-        cdf = cdf + term
     return k
 
 

@@ -15,8 +15,10 @@ by smaller ``K``, then smaller ``|beta|``, then smaller ``theta``.
 The error probability is a phase average of Poisson CDFs ``F_K(mu)`` of the
 symbol intensities ``mu = a**2 + beta**2 + 2*a*beta*cos(phi)``, and
 ``dF_K/dmu = -p_K(mu)``, so its gradient and Hessian in (theta, beta) are
-phase averages of the same kind.  Refinement steers by them on a fixed-order
-rule and accepts a point only on its adaptively averaged error probability.
+phase averages of the same kind.  Refinement steers by them alone, on a
+fixed-order rule; the error probability at a point, and the orientation
+that signs the derivatives there, come only from the adaptive
+``generalized_kennedy_detail``, which accepts or rejects each step.
 """
 
 from __future__ import annotations
@@ -33,13 +35,13 @@ from .golden import golden_minimize
 from .helstrom import perr_helstrom
 from .phasenoise import ConvergenceError, PhaseNoise, build_rule, check_tolerance
 from .receivers import (
+    BIT0_HIGH,
     ReceiverConfig,
     _poisson_cdfs,
     _poisson_pmf,
     displaced_intensity,
     generalized_kennedy_detail,
     perr_sql_baseline,
-    poisson_cdf,
 )
 
 GRID_QUAD_ORDER = 96
@@ -161,16 +163,19 @@ def _select_seeds(perr: np.ndarray, nseeds: int) -> list[tuple[int, int, int]]:
     return seeds
 
 
-def _perr_terms(nbar: float, k: int, theta: float, beta: float, rule) -> np.ndarray:
-    """Best-orientation error probability at threshold ``k`` with its first
-    and second derivatives, ``[P, P_t, P_b, P_tt, P_tb, P_bb]`` in
-    (t, b) = (theta, beta), averaged on the fixed rule ``rule``.
+def _derivatives(nbar: float, k: int, theta: float, beta: float, orientation: str,
+                 scale: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of the error probability at threshold ``k``
+    under ``orientation``, in grid-scaled coordinates
+    ``(theta/scale[0], beta/scale[1])``, averaged on the fixed rule ``rule``.
 
     With ``a1 = s*sin(theta)``, ``a0 = s*cos(theta)`` and
-    ``F(mu) = P(count <= k | mu)``, ``P = F(mu1)/2 + (1 - F(mu0))/2`` under
-    ``bit1_high``; ``F' = -p_k`` and ``F'' = p_k - p_(k-1)`` give the rest by
-    the chain rule.  Under ``bit0_high`` the error is ``1 - P``, so every
-    derivative changes sign.
+    ``F(mu) = P(count <= k | mu)``, the ``bit1_high`` error is
+    ``F(mu1)/2 + (1 - F(mu0))/2``; ``F' = -p_k`` and ``F'' = p_k - p_(k-1)``
+    give its derivatives by the chain rule.  The ``bit0_high`` error is one
+    minus it, so every derivative changes sign.  The error itself is not
+    formed here: ``generalized_kennedy_detail`` is its one evaluator, and
+    ``orientation`` is the one it returned at this point.
     """
     s = math.sqrt(2.0 * nbar)
     a = np.array([[s * math.sin(theta)], [s * math.cos(theta)]])  # alpha1, alpha0
@@ -186,26 +191,14 @@ def _perr_terms(nbar: float, k: int, theta: float, beta: float, rule) -> np.ndar
     d1 = -pmf[-1]
     d2 = pmf[-1] - pmf[0] if k > 0 else pmf[-1]
     terms = np.stack([
-        poisson_cdf(k, mu),
         d1 * mu_t,
         d1 * mu_b,
         d2 * mu_t * mu_t + d1 * mu_tt,
         d2 * mu_t * mu_b + d1 * mu_tb,
         d2 * mu_b * mu_b + 2.0 * d1,
     ])
-    out = rule.average(0.5 * (terms[:, 0] - terms[:, 1]))
-    out[0] += 0.5
-    if out[0] > 0.5:
-        out = -out
-        out[0] += 1.0
-    return out
-
-
-def _scaled_derivatives(nbar: float, k: int, theta: float, beta: float,
-                        scale: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of the error probability in grid-scaled
-    coordinates ``(theta/scale[0], beta/scale[1])``."""
-    _, pt, pb, ptt, ptb, pbb = _perr_terms(nbar, k, theta, beta, rule)
+    sign = -1.0 if orientation == BIT0_HIGH else 1.0
+    pt, pb, ptt, ptb, pbb = sign * rule.average(0.5 * (terms[:, 0] - terms[:, 1]))
     grad = np.array([pt, pb]) * scale
     hess = np.array([[ptt, ptb], [ptb, pbb]]) * np.outer(scale, scale)
     return grad, hess
@@ -251,7 +244,7 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
 
     Coordinates are scaled by the grid steps, so one unit is one grid cell.
     Each iteration takes the trust-region step of the quadratic model built
-    from ``_perr_terms``, within a radius of at most one cell.  If the step
+    from ``_derivatives``, within a radius of at most one cell.  If the step
     does not lower the adaptively evaluated error, ``golden_minimize``
     searches along it.  The next radius is twice the accepted step, capped
     at one cell, and the seed has converged once the accepted step is
@@ -260,81 +253,83 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
     Never regresses: a point is accepted only if its adaptive error is below
     the best so far (the adaptively evaluated seed is iteration 0 of the
     audit trace), so each reported value keeps its quadrature tolerance.
+    ``generalized_kennedy_detail`` is the one evaluator of the error: each
+    accepted point keeps the error and orientation it returned, and the
+    orientation signs the derivatives taken there.
+
+    Returns ``(theta, beta, best, trace, orientation)`` for the last
+    accepted point.
     """
 
-    def evaluate(theta: float, beta: float) -> float:
+    def evaluate(theta: float, beta: float) -> tuple[float, str]:
         cfg = ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=problem.pnr_ceiling)
         return generalized_kennedy_detail(
             parametrize(theta, problem.nbar), cfg, problem.noise, problem.quad_tolerance
-        )[0]
+        )
 
     rule = build_rule(problem.noise, DERIVATIVE_QUAD_ORDER)
     scale = np.array([theta_step, beta_step])
     theta, beta = theta0, beta0
-    best = evaluate(theta, beta)
+    best, orientation = evaluate(theta, beta)
     trace = [(0, best)]
     radius = 1.0
     for iteration in range(1, MAX_REFINE_ROUNDS + 1):
-        grad, hess = _scaled_derivatives(problem.nbar, k, theta, beta, scale, rule)
+        grad, hess = _derivatives(problem.nbar, k, theta, beta, orientation, scale, rule)
         step = _trust_region_step(grad, hess, radius)
         length = math.hypot(*step)
         moved = 0.0
         if length >= REFINE_TOLERANCE:
             dtheta, dbeta = step * scale
-            full = evaluate(theta + dtheta, beta + dbeta)
-            t, value = 1.0, full
-            if full >= best:
-                # Both ends are known: the current point and the full step.
+            # (error, orientation) at every evaluated fraction of the step;
+            # both ends are known: the current point and the full step.
+            known = {0.0: (best, orientation), 1.0: evaluate(theta + dtheta, beta + dbeta)}
+            t = 1.0
+            if known[1.0][0] >= best:
                 def along(u: float) -> float:
-                    if u == 0.0:
-                        return best
-                    if u == 1.0:
-                        return full
-                    return evaluate(theta + u * dtheta, beta + u * dbeta)
+                    if u not in known:
+                        known[u] = evaluate(theta + u * dtheta, beta + u * dbeta)
+                    return known[u][0]
 
-                t, value = golden_minimize(along, 0.0, 1.0, xtol=REFINE_TOLERANCE / length)
+                t, _ = golden_minimize(along, 0.0, 1.0, xtol=REFINE_TOLERANCE / length)
+            value, at = known[t]
             if value < best:
-                theta, beta, best = theta + t * dtheta, beta + t * dbeta, value
+                theta, beta, best, orientation = theta + t * dtheta, beta + t * dbeta, value, at
                 moved = t * length
         trace.append((iteration, best))
         if moved < REFINE_TOLERANCE:
             break
         radius = min(1.0, 2.0 * moved)
-    return theta, beta, best, trace
+    return theta, beta, best, trace, orientation
 
 
 def optimize(problem: OptimizationProblem) -> OptimizationResult:
     """Full deterministic search: exhaustive threshold scan, dense grid
     seeding, then damped Newton refinement of the best seeds of each
-    threshold."""
+    threshold.  The winner's error and orientation are the ones its
+    refinement accepted, so they equal ``generalized_kennedy_detail`` at
+    the reported configuration."""
     thetas, betas, grid_perr = _grid_scan(problem)
-    theta_step = thetas[1] - thetas[0]
-    beta_step = betas[1] - betas[0]
+    scale = np.array([thetas[1] - thetas[0], betas[1] - betas[0]])
     seeds = _select_seeds(grid_perr, REFINE_SEEDS)
 
     candidates = []
     for k, i, j in seeds:
-        theta, beta, perr, trace = _refine(
-            problem, k, float(thetas[i]), float(betas[j]), theta_step, beta_step
+        theta, beta, perr, trace, orientation = _refine(
+            problem, k, float(thetas[i]), float(betas[j]), *scale
         )
-        candidates.append((perr, k, theta, beta, trace))
+        candidates.append((perr, k, theta, beta, trace, orientation))
 
     best_perr = min(c[0] for c in candidates)
     eligible = [c for c in candidates if c[0] <= best_perr + TIE_WINDOW]
     eligible.sort(key=lambda c: (c[1], abs(c[3]), c[2], c[3]))
-    perr_seed, k, theta, beta, trace = eligible[0]
+    perr, k, theta, beta, trace, orientation = eligible[0]
 
     constellation = parametrize(theta, problem.nbar)
-    config = ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=problem.pnr_ceiling)
-    perr, orientation = generalized_kennedy_detail(
-        constellation, config, problem.noise, problem.quad_tolerance
-    )
-    grad, _ = _scaled_derivatives(problem.nbar, k, theta, beta,
-                                  np.array([theta_step, beta_step]),
-                                  build_rule(problem.noise, DERIVATIVE_QUAD_ORDER))
+    grad, _ = _derivatives(problem.nbar, k, theta, beta, orientation, scale,
+                           build_rule(problem.noise, DERIVATIVE_QUAD_ORDER))
     return OptimizationResult(
         constellation=constellation,
-        config=config,
+        config=ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=problem.pnr_ceiling),
         perr=perr,
         perr_sql=perr_sql_baseline(problem.nbar, problem.noise, problem.quad_tolerance),
         perr_helstrom=perr_helstrom(constellation, problem.noise),

@@ -295,6 +295,18 @@ def test_sweep_sigma_usage_errors_fail_before_any_cell(bad, tmp_path, capsys):
     assert "warning:" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep-nbar", "--nbar-max", "1e9", "--step", "1e-9"],
+    ["sweep-sigma", "--nbar", "2", "--sigma-max", "1e9", "--step", "1e-9"],
+])
+def test_absurd_range_is_a_usage_error(argv, tmp_path, capsys):
+    # 1e18 points: the range's allocation fails at once, so nothing is allocated
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--output", str(out)]) == EXIT_USAGE
+    assert "too many to allocate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_io_error_exit_code(tmp_path):
     missing = tmp_path / "no-such-dir" / "x.csv"
     rc = main(["sweep-nbar", "--nbar-max", "1", "--step", "1", "--output", str(missing)])

@@ -60,6 +60,17 @@ def test_poisson_inverse_heterogeneous_means():
     assert np.array_equal(poisson_inverse(u, mu), want)
 
 
+def test_poisson_inverse_stops_at_max_count():
+    """Counts are capped at ``max_count``, which also ends the search for a
+    mean whose ``exp(-mu)`` has underflowed (the last one here); the other
+    means put quantiles at and just above each cap."""
+    mu = np.append(np.linspace(0.25, 60.0, 240), 800.0)
+    u = np.full(mu.shape, 0.4)
+    for max_count in (0, 3, 50):
+        want = np.minimum(poisson.ppf(u, mu), max_count).astype(np.int64)
+        assert np.array_equal(poisson_inverse(u, mu, max_count), want)
+
+
 def test_threshold_decision_matches_inverse_cdf_sampling():
     """``u >= P(count <= K)`` is exactly the event ``poisson_inverse(u) > K``."""
     rng = np.random.default_rng(12345)

@@ -8,9 +8,9 @@ from phaserx.optimizer import (
     GRID_QUAD_ORDER,
     REFINE_SEEDS,
     OptimizationProblem,
+    _derivatives,
     _grid_scan,
-    _perr_terms,
-    _scaled_derivatives,
+    _refine,
     _select_seeds,
     _trust_region_step,
     optimize,
@@ -23,6 +23,7 @@ from phaserx.receivers import (
     displaced_intensity,
     generalized_kennedy_detail,
     perr_generalized_kennedy,
+    poisson_cdf,
 )
 
 KENNEDY_2 = 1.677313139512559194e-4  # exp(-8)/2, the exact-nulling feasible point
@@ -75,9 +76,10 @@ def test_result_respects_power_constraint_and_sandwich():
     assert res.perr_helstrom <= res.perr + 1e-12
     assert 0.0 <= res.perr <= 0.5
     assert res.config.threshold_k < res.config.pnr_ceiling
-    # reported error is reproducible from the reported configuration
-    again = perr_generalized_kennedy(res.constellation, res.config, PhaseNoise(0.45))
-    assert again == res.perr
+    # reported error and orientation are the adaptive evaluation at the
+    # reported configuration
+    again = generalized_kennedy_detail(res.constellation, res.config, PhaseNoise(0.45))
+    assert again == (res.perr, res.orientation)
 
 
 def test_optimize_is_deterministic():
@@ -167,16 +169,21 @@ def test_derivative_terms_match_central_differences(sigma, k, orientation, theta
     # displace close to nulling the dim symbol, which fixes the orientation
     beta = 0.1 - s * (math.cos(theta) if orientation == "bit1_high" else math.sin(theta))
     rule = build_rule(PhaseNoise(sigma), 128)
-    terms = _perr_terms(nbar, k, theta, beta, rule)
+    grad, hess = _derivatives(nbar, k, theta, beta, orientation, np.ones(2), rule)
+
+    def p(dt, db):
+        """The orientation's Kennedy error, averaged on ``rule``."""
+        t, b = theta + dt * h, beta + db * h
+        alphas = np.array([[s * math.sin(t)], [s * math.cos(t)]])  # alpha1, alpha0
+        low1, low0 = poisson_cdf(k, displaced_intensity(alphas, b, rule.nodes))
+        perr = rule.average(0.5 * low1 + 0.5 * (1.0 - low0))
+        return perr if orientation == "bit1_high" else 1.0 - perr
+
+    centre = p(0, 0)
     cfg = ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=k + 1)
     perr, got = generalized_kennedy_detail(parametrize(theta, nbar), cfg, PhaseNoise(sigma))
     assert got == orientation
-    assert terms[0] == pytest.approx(perr, rel=1e-9)
-
-    def p(dt, db):
-        return _perr_terms(nbar, k, theta + dt * h, beta + db * h, rule)[0]
-
-    centre = terms[0]
+    assert centre == pytest.approx(perr, rel=1e-9)
     differences = [
         (p(1, 0) - p(-1, 0)) / (2 * h),
         (p(0, 1) - p(0, -1)) / (2 * h),
@@ -184,8 +191,28 @@ def test_derivative_terms_match_central_differences(sigma, k, orientation, theta
         (p(1, 1) - p(1, -1) - p(-1, 1) + p(-1, -1)) / (4 * h * h),
         (p(0, 1) - 2 * centre + p(0, -1)) / h**2,
     ]
-    assert np.abs(np.array(differences[:2]) - terms[1:3]).max() <= 1e-9
-    assert np.abs(np.array(differences[2:]) - terms[3:]).max() <= 1e-5
+    assert np.abs(np.array(differences[:2]) - grad).max() <= 1e-9
+    assert np.abs(np.array(differences[2:]) - hess[[0, 0, 1], [0, 1, 1]]).max() <= 1e-5
+
+
+def test_refinement_carries_the_orientation_of_each_accepted_point():
+    """On a 2 x 2 grid a step spans a whole cell, so this seed's refinement
+    crosses to the other decision orientation, once through the golden line
+    search; it returns the orientation of the Kennedy evaluation at the
+    returned point."""
+    problem = fast_problem(0.3, 0.0, 1, grid_resolution=2, beta_resolution=2)
+    thetas, betas, _ = _grid_scan(problem)
+
+    def detail(theta, beta):
+        cfg = ReceiverConfig(beta=beta, threshold_k=0, pnr_ceiling=1)
+        return generalized_kennedy_detail(parametrize(theta, problem.nbar), cfg, problem.noise)
+
+    theta0, beta0 = float(thetas[0]), float(betas[0])
+    theta, beta, best, trace, orientation = _refine(
+        problem, 0, theta0, beta0, thetas[1] - thetas[0], betas[1] - betas[0])
+    assert detail(theta0, beta0)[1] != orientation
+    assert detail(theta, beta) == (best, orientation)
+    assert trace[-1][1] == best
 
 
 def test_trust_region_step_minimizes_the_model():
@@ -228,8 +255,8 @@ def test_refinement_converges_to_a_stationary_point(sigma, coordinate_search_per
     theta = math.atan2(c.alpha1.real, c.alpha0.real)
     scale = np.array([math.pi / problem.grid_resolution,
                       2.0 * problem.beta_max / (problem.beta_resolution - 1)])
-    grad, _ = _scaled_derivatives(problem.nbar, res.config.threshold_k, theta,
-                                  res.config.beta.real, scale, build_rule(problem.noise, 512))
+    grad, _ = _derivatives(problem.nbar, res.config.threshold_k, theta, res.config.beta.real,
+                           res.orientation, scale, build_rule(problem.noise, 512))
     assert math.hypot(*grad) <= 1e-6 * res.perr
     assert res.gradient_norm <= 1e-6 * res.perr
 
