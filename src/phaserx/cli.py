@@ -8,7 +8,8 @@ resolved ``kmax``, ``sweep-sigma`` its sorted ``pnr_list``).  Data rows are
 plain comma-separated values with at least 10 significant digits, and
 re-running a command with the same flags reproduces them byte for byte.
 
-Exit codes: 0 success, 2 usage error, 3 I/O error, 4 numerical failure.
+Exit codes: 0 success, 2 usage error (a size too large to allocate is
+one), 3 I/O error, 4 numerical failure.
 An output path that cannot be written fails with 3 before any work is done.
 """
 
@@ -107,11 +108,7 @@ def _float_range(lo: float, hi: float, step: float) -> np.ndarray:
     last = lo + step * (n - 1)
     if abs(last - hi) <= 1e-9 * max(1.0, abs(hi)):
         last = hi
-    try:
-        return np.linspace(lo, last, n)
-    except MemoryError as exc:
-        raise ValueError(f"range {lo}..{hi} in steps of {step} has {n} points, "
-                         "too many to allocate") from exc
+    return np.linspace(lo, last, n)
 
 
 def _search_knobs(args) -> dict:
@@ -290,14 +287,16 @@ def _cmd_helstrom(args) -> int:
         c = parametrize(args.theta, args.efficiency * args.nbar)
         label = "parametrized"
     dim = required_dim(max(abs(c.alpha0) ** 2, abs(c.alpha1) ** 2))
+    perr = perr_helstrom(c, noise)
+    perr_noiseless = perr_helstrom_noiseless(c)
     print(f"constellation = {label}")
     print(f"alpha0 = {c.alpha0}")
     print(f"alpha1 = {c.alpha1}")
     print(f"sigma = {args.sigma!r}")
     print(f"fock_dim = {dim}")
     print(f"mean_photon_number = {_fmt(c.mean_photon_number())}")
-    print(f"perr_helstrom = {_fmt(perr_helstrom(c, noise))}")
-    print(f"perr_helstrom_noiseless = {_fmt(perr_helstrom_noiseless(c))}")
+    print(f"perr_helstrom = {_fmt(perr)}")
+    print(f"perr_helstrom_noiseless = {_fmt(perr_noiseless)}")
     return EXIT_OK
 
 
@@ -312,7 +311,8 @@ def _efficiency(text: str) -> float:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, *, nbar: bool = True, sigma: bool = True):
+def _add_common(p: argparse.ArgumentParser, *, nbar: bool = True, sigma: bool = True,
+                tolerance: bool = True):
     if nbar:
         p.add_argument("--nbar", type=float, required=True,
                        help="average photon number per symbol")
@@ -322,8 +322,9 @@ def _add_common(p: argparse.ArgumentParser, *, nbar: bool = True, sigma: bool = 
     p.add_argument("--efficiency", type=_efficiency, default=1.0,
                    help="detector efficiency in [0, 1]; amplitudes are pre-scaled "
                         "by its square root (default 1)")
-    p.add_argument("--tolerance", type=float, default=1e-10,
-                   help="relative tolerance of the phase-average quadrature")
+    if tolerance:
+        p.add_argument("--tolerance", type=float, default=1e-10,
+                       help="relative tolerance of the phase-average quadrature")
 
 
 def _add_grid_knobs(p: argparse.ArgumentParser):
@@ -401,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha1", type=complex, default=None)
     p.add_argument("--optimize-constellation", action="store_true",
                    help="optimize the constellation angle at fixed power")
-    _add_common(p)
+    _add_common(p, tolerance=False)
     p.set_defaults(func=_cmd_helstrom)
     return parser
 
@@ -424,6 +425,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (ValueError, TypeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"usage error: too many to allocate: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -15,10 +15,12 @@ by smaller ``K``, then smaller ``|beta|``, then smaller ``theta``.
 The error probability is a phase average of Poisson CDFs ``F_K(mu)`` of the
 symbol intensities ``mu = a**2 + beta**2 + 2*a*beta*cos(phi)``, and
 ``dF_K/dmu = -p_K(mu)``, so its gradient and Hessian in (theta, beta) are
-phase averages of the same kind.  Refinement steers by them alone, on a
-fixed-order rule; the error probability at a point, and the orientation
-that signs the derivatives there, come only from the adaptive
-``generalized_kennedy_detail``, which accepts or rejects each step.
+phase averages of the same kind.  The grid scan and refinement average on
+one fixed rule, the folded ``GRID_QUAD_ORDER`` rule built once per problem,
+and refinement steers by the derivatives alone; the error probability at a
+point, and the orientation that signs the derivatives there, come only from
+the adaptive ``generalized_kennedy_detail``, which accepts or rejects each
+step.
 """
 
 from __future__ import annotations
@@ -44,9 +46,8 @@ from .receivers import (
     perr_sql_baseline,
 )
 
+# Order of the one fixed rule that the grid scan and refinement average on.
 GRID_QUAD_ORDER = 96
-# Fixed rule order of the derivative averages that steer refinement.
-DERIVATIVE_QUAD_ORDER = 128
 MAX_REFINE_ROUNDS = 60
 # Step length, in grid cells, below which a seed counts as converged.
 REFINE_TOLERANCE = 1e-8
@@ -94,7 +95,7 @@ class OptimizationResult:
     orientation: str
     trace: tuple[tuple[int, float], ...] = field(repr=False)
     # Norm of the grid-scaled gradient of ``perr`` at the optimum (on the
-    # derivative rule), and how many refinement seeds stopped on
+    # optimizer's fixed rule), and how many refinement seeds stopped on
     # ``MAX_REFINE_ROUNDS`` instead of converging.
     gradient_norm: float
     capped_seeds: int
@@ -110,30 +111,26 @@ class SweepCell:
     error: str | None
 
 
-def _grid_scan(problem: OptimizationProblem):
-    """Evaluate the error probability on the full (K, theta, beta) grid.
+def _grid_scan(problem: OptimizationProblem, rule):
+    """Evaluate the error probability on the full (K, theta, beta) grid,
+    averaged on the fixed rule ``rule``.
 
     Returns ``(thetas, betas, perr)`` with ``perr[k, i, j]`` the
-    best-orientation error at threshold ``k``.  Uses the fixed-order rule
-    of ``GRID_QUAD_ORDER`` folded onto phi >= 0: with real amplitudes and
-    displacement the intensities ``(a*cos(phi) + beta)**2 + (a*sin(phi))**2``
-    are even in phi bit for bit, so the folded rule agrees with the full
-    one up to the rounding of the sum, at half the integrand evaluations.
-    The grid only seeds refinement, which re-evaluates adaptively.
+    best-orientation error at threshold ``k``.  Both symbols' intensities
+    and CDFs are one ``(2, theta, beta)`` batch per node.  The grid only
+    seeds refinement, which re-evaluates adaptively.
     """
     s = math.sqrt(2.0 * problem.nbar)
     thetas = np.linspace(0.0, math.pi, problem.grid_resolution, endpoint=False)
     betas = np.linspace(-problem.beta_max, problem.beta_max, problem.beta_resolution)
-    rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
+    # alpha1 and alpha0 of every theta, shape (2, theta, 1)
+    alphas = np.stack([s * np.sin(thetas), s * np.cos(thetas)])[:, :, None]
 
-    a0 = (s * np.cos(thetas))[:, None]
-    a1 = (s * np.sin(thetas))[:, None]
     # gap[k] accumulates P(count <= k | alpha1) - P(count <= k | alpha0).
     gap = np.zeros((problem.pnr_ceiling, thetas.size, betas.size))
     for w, phi in zip(rule.weights, rule.nodes):
-        cdfs0 = _poisson_cdfs(displaced_intensity(a0, betas, phi))
-        cdfs1 = _poisson_cdfs(displaced_intensity(a1, betas, phi))
-        for k, cdf0, cdf1 in zip(range(problem.pnr_ceiling), cdfs0, cdfs1):
+        cdfs = _poisson_cdfs(displaced_intensity(alphas, betas, phi))
+        for k, (cdf1, cdf0) in zip(range(problem.pnr_ceiling), cdfs):
             gap[k] += w * (cdf1 - cdf0)
     perr = 0.5 + 0.5 * gap
     return thetas, betas, np.minimum(perr, 1.0 - perr)
@@ -167,7 +164,8 @@ def _derivatives(nbar: float, k: int, theta: float, beta: float, orientation: st
                  scale: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of the error probability at threshold ``k``
     under ``orientation``, in grid-scaled coordinates
-    ``(theta/scale[0], beta/scale[1])``, averaged on the fixed rule ``rule``.
+    ``(theta/scale[0], beta/scale[1])``, averaged on the optimizer's fixed
+    rule ``rule``.
 
     With ``a1 = s*sin(theta)``, ``a0 = s*cos(theta)`` and
     ``F(mu) = P(count <= k | mu)``, the ``bit1_high`` error is
@@ -239,16 +237,17 @@ def _trust_region_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.
 
 
 def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
-            theta_step: float, beta_step: float):
+            scale: np.ndarray, rule):
     """Damped Newton descent in (theta, beta) from one grid seed.
 
-    Coordinates are scaled by the grid steps, so one unit is one grid cell.
-    Each iteration takes the trust-region step of the quadratic model built
-    from ``_derivatives``, within a radius of at most one cell.  If the step
-    does not lower the adaptively evaluated error, ``golden_minimize``
-    searches along it.  The next radius is twice the accepted step, capped
-    at one cell, and the seed has converged once the accepted step is
-    shorter than ``REFINE_TOLERANCE`` cells.
+    Coordinates are scaled by the grid steps ``scale``, so one unit is one
+    grid cell.  Each iteration takes the trust-region step of the quadratic
+    model built from ``_derivatives`` on the fixed rule ``rule``, within a
+    radius of at most one cell.  If the step does not lower the adaptively
+    evaluated error, ``golden_minimize`` searches along it.  The next radius
+    is twice the accepted step, capped at one cell, and the seed has
+    converged once the accepted step is shorter than ``REFINE_TOLERANCE``
+    cells.
 
     Never regresses: a point is accepted only if its adaptive error is below
     the best so far (the adaptively evaluated seed is iteration 0 of the
@@ -267,8 +266,6 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
             parametrize(theta, problem.nbar), cfg, problem.noise, problem.quad_tolerance
         )
 
-    rule = build_rule(problem.noise, DERIVATIVE_QUAD_ORDER)
-    scale = np.array([theta_step, beta_step])
     theta, beta = theta0, beta0
     best, orientation = evaluate(theta, beta)
     trace = [(0, best)]
@@ -308,14 +305,18 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     threshold.  The winner's error and orientation are the ones its
     refinement accepted, so they equal ``generalized_kennedy_detail`` at
     the reported configuration."""
-    thetas, betas, grid_perr = _grid_scan(problem)
+    # The one fixed rule of the search may be folded onto phi >= 0: real
+    # amplitudes and a real displacement make every integrand averaged here,
+    # the grid values and the Newton derivatives alike, even in phi.
+    rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
+    thetas, betas, grid_perr = _grid_scan(problem, rule)
     scale = np.array([thetas[1] - thetas[0], betas[1] - betas[0]])
     seeds = _select_seeds(grid_perr, REFINE_SEEDS)
 
     candidates = []
     for k, i, j in seeds:
         theta, beta, perr, trace, orientation = _refine(
-            problem, k, float(thetas[i]), float(betas[j]), *scale
+            problem, k, float(thetas[i]), float(betas[j]), scale, rule
         )
         candidates.append((perr, k, theta, beta, trace, orientation))
 
@@ -325,8 +326,7 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     perr, k, theta, beta, trace, orientation = eligible[0]
 
     constellation = parametrize(theta, problem.nbar)
-    grad, _ = _derivatives(problem.nbar, k, theta, beta, orientation, scale,
-                           build_rule(problem.noise, DERIVATIVE_QUAD_ORDER))
+    grad, _ = _derivatives(problem.nbar, k, theta, beta, orientation, scale, rule)
     return OptimizationResult(
         constellation=constellation,
         config=ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=problem.pnr_ceiling),

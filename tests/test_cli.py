@@ -248,6 +248,9 @@ def test_usage_errors(capsys):
                  "--output", "-"]) == EXIT_USAGE
     assert main(["helstrom", "--nbar", "2", "--sigma", "0",
                  "--alpha0", "1.0"]) == EXIT_USAGE
+    # helstrom has no quadrature tolerance to set
+    assert main(["helstrom", "--nbar", "2", "--sigma", "0.1",
+                 "--tolerance", "1e-9"]) == EXIT_USAGE
     for value in ("nan", "inf"):
         assert main(["sql", "--nbar", value, "--sigma", "0"]) == EXIT_USAGE
         assert "nbar must be finite" in capsys.readouterr().err
@@ -305,6 +308,20 @@ def test_absurd_range_is_a_usage_error(argv, tmp_path, capsys):
     assert main([*argv, "--output", str(out)]) == EXIT_USAGE
     assert "too many to allocate" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["pk", "--alpha", "1", "--sigma", "0.1", "--kmax", "1000000000000000"],
+    ["helstrom", "--nbar", "1e16", "--sigma", "0.1"],
+    ["optimize", "--nbar", "2", "--sigma", "0.1", "--pnr", "100000000000"],
+])
+def test_absurd_size_is_a_usage_error(argv, capsys):
+    # petabytes: beyond any address space, so the allocation is refused at once
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: too many to allocate: " in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_io_error_exit_code(tmp_path):
