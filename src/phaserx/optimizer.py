@@ -12,15 +12,22 @@ The search is fully deterministic: a dense (theta, beta) grid per threshold
 value seeds a damped Newton refinement in (theta, beta), and ties are broken
 by smaller ``K``, then smaller ``|beta|``, then smaller ``theta``.
 
+Only the ``bit1_high`` decision rule is searched.  A receiver decoded
+``bit0_high`` is its mirror twin decoded ``bit1_high``: swapping the bit
+labels is swapping the symbols, ``theta -> pi/2 - theta``, wrapped into
+[0, pi) by ``(alpha, beta) -> (-alpha, -beta)``, and the beta window is
+symmetric.  So the angle already spans both labellings, every optimum is
+found and reported once, as its ``bit1_high`` twin, and the objective is the
+smooth ``bit1_high`` error, with no kink where the two labellings cross.
+
 The error probability is a phase average of Poisson CDFs ``F_K(mu)`` of the
 symbol intensities ``mu = a**2 + beta**2 + 2*a*beta*cos(phi)``, and
 ``dF_K/dmu = -p_K(mu)``, so its gradient and Hessian in (theta, beta) are
 phase averages of the same kind.  The grid scan and refinement average on
 one fixed rule, the folded ``GRID_QUAD_ORDER`` rule built once per problem,
 and refinement steers by the derivatives alone; the error probability at a
-point, and the orientation that signs the derivatives there, come only from
-the adaptive ``generalized_kennedy_detail``, which accepts or rejects each
-step.
+point comes only from the adaptive ``generalized_kennedy_detail``, which
+accepts or rejects each step.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .golden import golden_minimize
 from .helstrom import perr_helstrom
 from .phasenoise import ConvergenceError, PhaseNoise, build_rule, check_tolerance
 from .receivers import (
-    BIT0_HIGH,
+    BIT1_HIGH,
     ReceiverConfig,
     _poisson_cdfs,
     _poisson_pmf,
@@ -92,6 +99,7 @@ class OptimizationResult:
     perr: float
     perr_sql: float
     perr_helstrom: float
+    # Always ``bit1_high``: the search reports every optimum as that twin.
     orientation: str
     trace: tuple[tuple[int, float], ...] = field(repr=False)
     # Norm of the grid-scaled gradient of ``perr`` at the optimum (on the
@@ -116,9 +124,10 @@ def _grid_scan(problem: OptimizationProblem, rule):
     averaged on the fixed rule ``rule``.
 
     Returns ``(thetas, betas, perr)`` with ``perr[k, i, j]`` the
-    best-orientation error at threshold ``k``.  Both symbols' intensities
-    and CDFs are one ``(2, theta, beta)`` batch per node.  The grid only
-    seeds refinement, which re-evaluates adaptively.
+    ``bit1_high`` error at threshold ``k``; a cell and its mirror twin hold
+    ``x`` and ``1 - x``.  Both symbols' intensities and CDFs are one
+    ``(2, theta, beta)`` batch per node.  The grid only seeds refinement,
+    which re-evaluates adaptively.
     """
     s = math.sqrt(2.0 * problem.nbar)
     thetas = np.linspace(0.0, math.pi, problem.grid_resolution, endpoint=False)
@@ -132,8 +141,9 @@ def _grid_scan(problem: OptimizationProblem, rule):
         cdfs = _poisson_cdfs(displaced_intensity(alphas, betas, phi))
         for k, (cdf1, cdf0) in zip(range(problem.pnr_ceiling), cdfs):
             gap[k] += w * (cdf1 - cdf0)
-    perr = 0.5 + 0.5 * gap
-    return thetas, betas, np.minimum(perr, 1.0 - perr)
+    gap *= 0.5
+    gap += 0.5
+    return thetas, betas, gap
 
 
 def _select_seeds(perr: np.ndarray, nseeds: int) -> list[tuple[int, int, int]]:
@@ -160,20 +170,18 @@ def _select_seeds(perr: np.ndarray, nseeds: int) -> list[tuple[int, int, int]]:
     return seeds
 
 
-def _derivatives(nbar: float, k: int, theta: float, beta: float, orientation: str,
+def _derivatives(nbar: float, k: int, theta: float, beta: float,
                  scale: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of the error probability at threshold ``k``
-    under ``orientation``, in grid-scaled coordinates
+    """Gradient and Hessian of the ``bit1_high`` error probability at
+    threshold ``k``, in grid-scaled coordinates
     ``(theta/scale[0], beta/scale[1])``, averaged on the optimizer's fixed
     rule ``rule``.
 
     With ``a1 = s*sin(theta)``, ``a0 = s*cos(theta)`` and
     ``F(mu) = P(count <= k | mu)``, the ``bit1_high`` error is
     ``F(mu1)/2 + (1 - F(mu0))/2``; ``F' = -p_k`` and ``F'' = p_k - p_(k-1)``
-    give its derivatives by the chain rule.  The ``bit0_high`` error is one
-    minus it, so every derivative changes sign.  The error itself is not
-    formed here: ``generalized_kennedy_detail`` is its one evaluator, and
-    ``orientation`` is the one it returned at this point.
+    give its derivatives by the chain rule.  The error itself is not formed
+    here: ``generalized_kennedy_detail`` is its one evaluator.
     """
     s = math.sqrt(2.0 * nbar)
     a = np.array([[s * math.sin(theta)], [s * math.cos(theta)]])  # alpha1, alpha0
@@ -195,8 +203,7 @@ def _derivatives(nbar: float, k: int, theta: float, beta: float, orientation: st
         d2 * mu_t * mu_b + d1 * mu_tb,
         d2 * mu_b * mu_b + 2.0 * d1,
     ])
-    sign = -1.0 if orientation == BIT0_HIGH else 1.0
-    pt, pb, ptt, ptb, pbb = sign * rule.average(0.5 * (terms[:, 0] - terms[:, 1]))
+    pt, pb, ptt, ptb, pbb = rule.average(0.5 * (terms[:, 0] - terms[:, 1]))
     grad = np.array([pt, pb]) * scale
     hess = np.array([[ptt, ptb], [ptb, pbb]]) * np.outer(scale, scale)
     return grad, hess
@@ -238,7 +245,8 @@ def _trust_region_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.
 
 def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
             scale: np.ndarray, rule):
-    """Damped Newton descent in (theta, beta) from one grid seed.
+    """Damped Newton descent of the ``bit1_high`` error in (theta, beta)
+    from one grid seed.
 
     Coordinates are scaled by the grid steps ``scale``, so one unit is one
     grid cell.  Each iteration takes the trust-region step of the quadratic
@@ -252,59 +260,59 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
     Never regresses: a point is accepted only if its adaptive error is below
     the best so far (the adaptively evaluated seed is iteration 0 of the
     audit trace), so each reported value keeps its quadrature tolerance.
-    ``generalized_kennedy_detail`` is the one evaluator of the error: each
-    accepted point keeps the error and orientation it returned, and the
-    orientation signs the derivatives taken there.
+    ``generalized_kennedy_detail`` is the one evaluator of the error.  It
+    returns the ``bit1_high`` error ``x`` or, when it prefers ``bit0_high``,
+    ``1 - x``; then ``x >= 1/2``, so both ``1 - x`` and ``1 - (1 - x)`` are
+    exact and the ``bit1_high`` error is read off without rounding.
 
-    Returns ``(theta, beta, best, trace, orientation)`` for the last
-    accepted point.
+    Returns ``(theta, beta, best, trace)`` for the last accepted point.
     """
 
-    def evaluate(theta: float, beta: float) -> tuple[float, str]:
+    def evaluate(theta: float, beta: float) -> float:
         cfg = ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=problem.pnr_ceiling)
-        return generalized_kennedy_detail(
+        perr, orientation = generalized_kennedy_detail(
             parametrize(theta, problem.nbar), cfg, problem.noise, problem.quad_tolerance
         )
+        return perr if orientation == BIT1_HIGH else 1.0 - perr
 
     theta, beta = theta0, beta0
-    best, orientation = evaluate(theta, beta)
+    best = evaluate(theta, beta)
     trace = [(0, best)]
     radius = 1.0
     for iteration in range(1, MAX_REFINE_ROUNDS + 1):
-        grad, hess = _derivatives(problem.nbar, k, theta, beta, orientation, scale, rule)
+        grad, hess = _derivatives(problem.nbar, k, theta, beta, scale, rule)
         step = _trust_region_step(grad, hess, radius)
         length = math.hypot(*step)
         moved = 0.0
         if length >= REFINE_TOLERANCE:
             dtheta, dbeta = step * scale
-            # (error, orientation) at every evaluated fraction of the step;
-            # both ends are known: the current point and the full step.
-            known = {0.0: (best, orientation), 1.0: evaluate(theta + dtheta, beta + dbeta)}
+            # The error at every evaluated fraction of the step; both ends
+            # are known: the current point and the full step.
+            known = {0.0: best, 1.0: evaluate(theta + dtheta, beta + dbeta)}
             t = 1.0
-            if known[1.0][0] >= best:
+            if known[1.0] >= best:
                 def along(u: float) -> float:
                     if u not in known:
                         known[u] = evaluate(theta + u * dtheta, beta + u * dbeta)
-                    return known[u][0]
+                    return known[u]
 
                 t, _ = golden_minimize(along, 0.0, 1.0, xtol=REFINE_TOLERANCE / length)
-            value, at = known[t]
-            if value < best:
-                theta, beta, best, orientation = theta + t * dtheta, beta + t * dbeta, value, at
+            if known[t] < best:
+                theta, beta, best = theta + t * dtheta, beta + t * dbeta, known[t]
                 moved = t * length
         trace.append((iteration, best))
         if moved < REFINE_TOLERANCE:
             break
         radius = min(1.0, 2.0 * moved)
-    return theta, beta, best, trace, orientation
+    return theta, beta, best, trace
 
 
 def optimize(problem: OptimizationProblem) -> OptimizationResult:
     """Full deterministic search: exhaustive threshold scan, dense grid
     seeding, then damped Newton refinement of the best seeds of each
-    threshold.  The winner's error and orientation are the ones its
-    refinement accepted, so they equal ``generalized_kennedy_detail`` at
-    the reported configuration."""
+    threshold.  The winner is reported as its ``bit1_high`` twin, with the
+    error its refinement accepted, so ``(perr, orientation)`` equals
+    ``generalized_kennedy_detail`` at the reported configuration."""
     # The one fixed rule of the search may be folded onto phi >= 0: real
     # amplitudes and a real displacement make every integrand averaged here,
     # the grid values and the Newton derivatives alike, even in phi.
@@ -315,25 +323,25 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
 
     candidates = []
     for k, i, j in seeds:
-        theta, beta, perr, trace, orientation = _refine(
+        theta, beta, perr, trace = _refine(
             problem, k, float(thetas[i]), float(betas[j]), scale, rule
         )
-        candidates.append((perr, k, theta, beta, trace, orientation))
+        candidates.append((perr, k, theta, beta, trace))
 
     best_perr = min(c[0] for c in candidates)
     eligible = [c for c in candidates if c[0] <= best_perr + TIE_WINDOW]
     eligible.sort(key=lambda c: (c[1], abs(c[3]), c[2], c[3]))
-    perr, k, theta, beta, trace, orientation = eligible[0]
+    perr, k, theta, beta, trace = eligible[0]
 
     constellation = parametrize(theta, problem.nbar)
-    grad, _ = _derivatives(problem.nbar, k, theta, beta, orientation, scale, rule)
+    grad, _ = _derivatives(problem.nbar, k, theta, beta, scale, rule)
     return OptimizationResult(
         constellation=constellation,
         config=ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=problem.pnr_ceiling),
         perr=perr,
         perr_sql=perr_sql_baseline(problem.nbar, problem.noise, problem.quad_tolerance),
         perr_helstrom=perr_helstrom(constellation, problem.noise),
-        orientation=orientation,
+        orientation=BIT1_HIGH,
         trace=tuple(trace),
         gradient_norm=math.hypot(*grad),
         capped_seeds=sum(c[4][-1][0] >= MAX_REFINE_ROUNDS for c in candidates),

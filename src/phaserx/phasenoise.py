@@ -174,9 +174,6 @@ def average(noise: PhaseNoise, f, tolerance: float = 1e-10) -> float | np.ndarra
         estimates of the component that misses the tolerance by the most.
     """
     check_tolerance(tolerance)
-    if noise.sigma == 0.0:
-        point = np.asarray(f(np.zeros(1)), dtype=float)[..., 0]
-        return float(point) if point.ndim == 0 else point
 
     def estimate(order: int) -> float | np.ndarray:
         rule = build_rule(noise, order)
@@ -188,11 +185,12 @@ def average(noise: PhaseNoise, f, tolerance: float = 1e-10) -> float | np.ndarra
         return all(_close(a, b, tolerance) for a, b in zip(coarse.tolist(), fine.tolist()))
 
     # The first two orders share one integrand call: per call, numpy's
-    # overhead on these short arrays outweighs the arithmetic.
+    # overhead on these short arrays outweighs the arithmetic.  At sigma = 0
+    # both are the one-node rule, so the two estimates agree at once.
     base, doubled = build_rule(noise, BASE_ORDER), build_rule(noise, 2 * BASE_ORDER)
     values = np.asarray(f(np.concatenate((base.nodes, doubled.nodes))))
-    coarse = base.average(values[..., :BASE_ORDER])
-    fine = doubled.average(values[..., BASE_ORDER:])
+    coarse = base.average(values[..., :base.nodes.size])
+    fine = doubled.average(values[..., base.nodes.size:])
     order = 2 * BASE_ORDER
     while not converged(coarse, fine):
         if order >= MAX_ORDER:

@@ -1,16 +1,16 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from phaserx.constellation import parametrize
+from phaserx.constellation import BinaryConstellation, parametrize
 from phaserx.optimizer import (
     GRID_QUAD_ORDER,
     REFINE_SEEDS,
     OptimizationProblem,
     _derivatives,
     _grid_scan,
-    _refine,
     _select_seeds,
     _trust_region_step,
     optimize,
@@ -35,6 +35,12 @@ FAST = dict(grid_resolution=61, beta_resolution=81)
 def fast_problem(nbar, sigma, pnr, **over):
     knobs = {**FAST, **over}
     return OptimizationProblem(nbar=nbar, noise=PhaseNoise(sigma), pnr_ceiling=pnr, **knobs)
+
+
+@functools.lru_cache(maxsize=None)
+def default_optimum(nbar, sigma, pnr):
+    """``optimize`` at default knobs, run once per problem for the module."""
+    return optimize(OptimizationProblem(nbar=nbar, noise=PhaseNoise(sigma), pnr_ceiling=pnr))
 
 
 def test_problem_validation():
@@ -162,28 +168,29 @@ def test_sweep_validation(monkeypatch):
 
 @pytest.mark.parametrize("sigma", [0.0, 0.2, 0.45])
 @pytest.mark.parametrize("k", [0, 2])
-@pytest.mark.parametrize("orientation, theta", [("bit1_high", 1.9), ("bit0_high", 0.35)])
-def test_derivative_terms_match_central_differences(sigma, k, orientation, theta):
+@pytest.mark.parametrize("preferred, theta", [("bit1_high", 1.9), ("bit0_high", 0.35)])
+def test_derivative_terms_match_central_differences(sigma, k, preferred, theta):
+    """The derivatives of the ``bit1_high`` error, both where it is the
+    evaluator's preferred labelling and where its mirror twin is."""
     nbar, h = 1.87, 1e-5
     s = math.sqrt(2.0 * nbar)
-    # displace close to nulling the dim symbol, which fixes the orientation
-    beta = 0.1 - s * (math.cos(theta) if orientation == "bit1_high" else math.sin(theta))
+    # displace close to nulling the dim symbol, which fixes the preference
+    beta = 0.1 - s * (math.cos(theta) if preferred == "bit1_high" else math.sin(theta))
     rule = build_rule(PhaseNoise(sigma), 128)
-    grad, hess = _derivatives(nbar, k, theta, beta, orientation, np.ones(2), rule)
+    grad, hess = _derivatives(nbar, k, theta, beta, np.ones(2), rule)
 
     def p(dt, db):
-        """The orientation's Kennedy error, averaged on ``rule``."""
+        """The ``bit1_high`` Kennedy error, averaged on ``rule``."""
         t, b = theta + dt * h, beta + db * h
         alphas = np.array([[s * math.sin(t)], [s * math.cos(t)]])  # alpha1, alpha0
         low1, low0 = poisson_cdf(k, displaced_intensity(alphas, b, rule.nodes))
-        perr = rule.average(0.5 * low1 + 0.5 * (1.0 - low0))
-        return perr if orientation == "bit1_high" else 1.0 - perr
+        return rule.average(0.5 * low1 + 0.5 * (1.0 - low0))
 
     centre = p(0, 0)
     cfg = ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=k + 1)
     perr, got = generalized_kennedy_detail(parametrize(theta, nbar), cfg, PhaseNoise(sigma))
-    assert got == orientation
-    assert centre == pytest.approx(perr, rel=1e-9)
+    assert got == preferred
+    assert centre == pytest.approx(perr if got == "bit1_high" else 1.0 - perr, rel=1e-9)
     differences = [
         (p(1, 0) - p(-1, 0)) / (2 * h),
         (p(0, 1) - p(0, -1)) / (2 * h),
@@ -195,47 +202,39 @@ def test_derivative_terms_match_central_differences(sigma, k, orientation, theta
     assert np.abs(np.array(differences[2:]) - hess[[0, 0, 1], [0, 1, 1]]).max() <= 1e-5
 
 
+def _mirror_twin(theta, beta):
+    """The (theta, beta) that decodes ``bit1_high`` the receiver that
+    ``(theta, beta)`` decodes ``bit0_high``: swapping the bit labels is
+    swapping the symbols, theta -> pi/2 - theta, wrapped into [0, pi) by
+    (alpha, beta) -> (-alpha, -beta)."""
+    twin = 0.5 * math.pi - theta
+    return (twin, beta) if twin >= 0.0 else (twin + math.pi, -beta)
+
+
 @pytest.mark.parametrize("sigma", [0.15, 0.45, 1.0])
 @pytest.mark.parametrize("k", [0, 2, 7])
-@pytest.mark.parametrize("orientation", ["bit1_high", "bit0_high"])
-def test_folded_rule_steers_like_the_full_rule(sigma, k, orientation):
+@pytest.mark.parametrize("labelling", ["bit1_high", "bit0_high"])
+def test_folded_rule_steers_like_the_full_rule(sigma, k, labelling):
     """The derivatives that steer refinement, on the optimizer's folded rule,
-    agree with the same-order full rule up to the rounding of the sum."""
+    agree with the same-order full rule up to the rounding of the sum, for
+    each drawn receiver under either labelling: a ``bit0_high`` receiver is
+    steered at its ``bit1_high`` mirror twin."""
     full = build_rule(PhaseNoise(sigma), GRID_QUAD_ORDER)
     folded = full.fold_even()
     rng = np.random.default_rng(2031)
     for nbar in rng.uniform(0.3, 4.0, size=10):
         beta_max = 3.0 * math.sqrt(2.0 * nbar)
         theta, beta = rng.uniform(0.0, math.pi), rng.uniform(-beta_max, beta_max)
+        if labelling == "bit0_high":
+            theta, beta = _mirror_twin(theta, beta)
         scale = rng.uniform(0.01, 0.1, size=2)
 
         def terms(rule):
-            grad, hess = _derivatives(nbar, k, theta, beta, orientation, scale, rule)
+            grad, hess = _derivatives(nbar, k, theta, beta, scale, rule)
             return np.concatenate([grad, hess.ravel()])
 
         got, ref = terms(folded), terms(full)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-
-
-def test_refinement_carries_the_orientation_of_each_accepted_point():
-    """On a 2 x 2 grid a step spans a whole cell, so this seed's refinement
-    crosses to the other decision orientation, once through the golden line
-    search; it returns the orientation of the Kennedy evaluation at the
-    returned point."""
-    problem = fast_problem(0.3, 0.0, 1, grid_resolution=2, beta_resolution=2)
-    rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
-    thetas, betas, _ = _grid_scan(problem, rule)
-
-    def detail(theta, beta):
-        cfg = ReceiverConfig(beta=beta, threshold_k=0, pnr_ceiling=1)
-        return generalized_kennedy_detail(parametrize(theta, problem.nbar), cfg, problem.noise)
-
-    theta0, beta0 = float(thetas[0]), float(betas[0])
-    scale = np.array([thetas[1] - thetas[0], betas[1] - betas[0]])
-    theta, beta, best, trace, orientation = _refine(problem, 0, theta0, beta0, scale, rule)
-    assert detail(theta0, beta0)[1] != orientation
-    assert detail(theta, beta) == (best, orientation)
-    assert trace[-1][1] == best
 
 
 def test_trust_region_step_minimizes_the_model():
@@ -279,7 +278,7 @@ def test_refinement_converges_to_a_stationary_point(sigma, coordinate_search_per
     scale = np.array([math.pi / problem.grid_resolution,
                       2.0 * problem.beta_max / (problem.beta_resolution - 1)])
     grad, _ = _derivatives(problem.nbar, res.config.threshold_k, theta, res.config.beta.real,
-                           res.orientation, scale, build_rule(problem.noise, 512))
+                           scale, build_rule(problem.noise, 512))
     assert math.hypot(*grad) <= 1e-6 * res.perr
     assert res.gradient_norm <= 1e-6 * res.perr
 
@@ -316,8 +315,7 @@ def _grid_scan_full_rule(problem):
         cdfs1 = _poisson_cdfs(displaced_intensity(a1, betas, phi))
         for k, cdf0, cdf1 in zip(range(problem.pnr_ceiling), cdfs0, cdfs1):
             gap[k] += w * (cdf1 - cdf0)
-    perr = 0.5 + 0.5 * gap
-    return thetas, betas, np.minimum(perr, 1.0 - perr)
+    return thetas, betas, 0.5 + 0.5 * gap
 
 
 def _select_seeds_argsort(perr, nseeds):
@@ -340,6 +338,77 @@ def test_folded_grid_scan_matches_the_full_rule(sigma, pnr):
     assert perr.shape == ref.shape == (pnr, 181, 241)
     assert np.all(np.abs(perr - ref) <= 1e-12 * ref)
     assert _select_seeds(perr, REFINE_SEEDS) == _select_seeds_argsort(ref, REFINE_SEEDS)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n_theta", [4, 8, 12])
+def test_grid_holds_each_receiver_and_its_mirror_twin(sigma, n_theta):
+    """On an even theta grid the mirror twin of every cell is a cell, and it
+    holds the other labelling's error, so searching ``bit1_high`` alone
+    reaches every receiver."""
+    problem = OptimizationProblem(nbar=1.3, noise=PhaseNoise(sigma), pnr_ceiling=3,
+                                  grid_resolution=n_theta, beta_resolution=7)
+    rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
+    thetas, betas, perr = _grid_scan(problem, rule)
+    for i in range(n_theta):
+        for j in range(betas.size):
+            mirror = n_theta // 2 - i
+            twin = (mirror, j) if mirror >= 0 else (mirror + n_theta, betas.size - 1 - j)
+            assert _mirror_twin(thetas[i], betas[j]) == pytest.approx(
+                (thetas[twin[0]], betas[twin[1]]), abs=1e-14)
+            assert np.abs(perr[:, twin[0], twin[1]] - (1.0 - perr[:, i, j])).max() <= 1e-15
+
+
+@pytest.mark.parametrize("nbar, sigma, pnr", [(2.0, 0.45, 3), (3.0, 0.05, 2)])
+def test_optimizer_reports_the_bit1_high_twin(nbar, sigma, pnr):
+    """Where a search over both labellings settled on the ``bit0_high``
+    twin, the result is the ``bit1_high`` one, and swapping its symbols
+    gives the same receiver decoded ``bit0_high``."""
+    res = default_optimum(nbar, sigma, pnr)
+    noise = PhaseNoise(sigma)
+    assert res.orientation == "bit1_high"
+    assert generalized_kennedy_detail(res.constellation, res.config, noise) == (
+        res.perr, res.orientation)
+    c = res.constellation
+    swapped = BinaryConstellation(alpha0=c.alpha1, alpha1=c.alpha0)
+    perr, orientation = generalized_kennedy_detail(swapped, res.config, noise)
+    assert orientation == "bit0_high"
+    assert abs(perr - res.perr) <= 1e-15
+
+
+@pytest.mark.parametrize("nbar, sigma, pnr", [
+    (2.0, 0.0, 8), (2.0, 0.45, 3), (3.0, 0.05, 2), (4.0, 0.02, 3),
+    (5.0, 0.02, 3), (6.0, 0.02, 3), (8.0, 0.12, 1), (5.0, 0.0, 1),
+])
+def test_optimum_matches_a_30_digit_quadrature(nbar, sigma, pnr):
+    """The reported error is the ``bit1_high`` error at the reported
+    configuration to 1e-13 relative, against a 30-digit quadrature with
+    both Poisson tails taken as regularized incomplete gamma functions."""
+    mp = pytest.importorskip("mpmath").mp
+    res = default_optimum(nbar, sigma, pnr)
+    assert res.orientation == "bit1_high"
+    k = res.config.threshold_k
+    with mp.workdps(30):
+        a1, a0, beta = (mp.mpf(float(x.real)) for x in (
+            res.constellation.alpha1, res.constellation.alpha0, res.config.beta))
+
+        def error(phi):
+            cos = mp.cos(phi)
+            mu1 = a1 * a1 + beta * beta + 2 * a1 * beta * cos
+            mu0 = a0 * a0 + beta * beta + 2 * a0 * beta * cos
+            # P(count <= k | mu1) and P(count > k | mu0)
+            return (mp.gammainc(k + 1, mu1, mp.inf, regularized=True)
+                    + mp.gammainc(k + 1, 0, mu0, regularized=True)) / 2
+
+        if sigma == 0.0:
+            exact = error(mp.mpf(0))
+        else:
+            s = mp.mpf(sigma)
+            # the integrand is even in phi
+            exact = 2 * mp.quad(
+                lambda phi: error(phi) * mp.exp(-phi * phi / (2 * s * s)),
+                [0, s, 2 * s, 4 * s, 8 * s, mp.inf]) / (s * mp.sqrt(2 * mp.pi))
+        assert abs(res.perr - exact) <= 1e-13 * exact, (res.perr, exact)
 
 
 def test_select_seeds_equals_stable_argsort():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import pdtrc
 from scipy.stats import poisson
 
 from phaserx.constellation import BinaryConstellation, make_bpsk, make_ook, parametrize
@@ -122,6 +123,13 @@ def test_photocount_distribution_normalizes():
     assert abs(dist.tail_mass) < 1e-10
 
 
+def test_photocount_tail_mass_is_never_negative():
+    # the probabilities here sum to one ulp above 1
+    dist = photocount_distribution(0.5, 0.0, PhaseNoise(0.1), truncation=40)
+    assert dist.tail_mass == 0.0
+    assert abs(dist.probs.sum() + dist.tail_mass - 1.0) < 1e-14
+
+
 def test_photocount_validation():
     with pytest.raises(ValueError):
         photocount_distribution(1.0, 0.0, NOISELESS, truncation=-1)
@@ -188,8 +196,8 @@ def test_generalized_kennedy_equals_one_integrand_per_symbol():
 
         def per_symbol(phases):
             low1 = poisson_cdf(k, displaced_intensity(c.alpha1, cfg.beta, phases))
-            low0 = poisson_cdf(k, displaced_intensity(c.alpha0, cfg.beta, phases))
-            return 0.5 * low1 + 0.5 * (1.0 - low0)
+            high0 = pdtrc(k, displaced_intensity(c.alpha0, cfg.beta, phases))
+            return 0.5 * low1 + 0.5 * high0
 
         perr = min(max(average(noise, per_symbol), 0.0), 1.0)
         expected = (perr, BIT1_HIGH) if perr <= 1.0 - perr else (1.0 - perr, BIT0_HIGH)
