@@ -8,6 +8,7 @@ constellation is ``nbar = (|alpha0|**2 + |alpha1|**2) / 2``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from scipy.constants import c as _SPEED_OF_LIGHT
@@ -49,6 +50,19 @@ def check_nbar(nbar: float, positive: bool = False) -> None:
     if not math.isfinite(nbar) or nbar < 0.0 or (positive and nbar == 0.0):
         bound = "> 0" if positive else ">= 0"
         raise ValueError(f"nbar must be finite and {bound}, got {nbar}")
+
+
+def check_count(name: str, value: int, minimum: int) -> int:
+    """``value`` as a Python int, rejecting a non-integer (a float such as
+    ``2.0`` as well) or a value below ``minimum``; numpy integers pass.
+    The one check behind every count, threshold, size and seed input."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {count}")
+    return count
 
 
 def make_ook(nbar: float) -> BinaryConstellation:

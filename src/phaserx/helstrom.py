@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .constellation import BinaryConstellation, check_nbar, parametrize
+from .constellation import BinaryConstellation, check_count, check_nbar, parametrize
 from .golden import golden_minimize
 from .phasenoise import PhaseNoise
 
@@ -77,9 +77,8 @@ def phase_diffused_state(
     alpha = complex(alpha)
     mu = abs(alpha) ** 2
     need = required_dim(mu)
-    if dim is None:
-        dim = need
-    elif dim < need:
+    dim = need if dim is None else check_count("dim", dim, 1)
+    if dim < need:
         raise ValueError(
             f"dim = {dim} is too small for |alpha|^2 = {mu:.6g}; "
             f"need at least {need} to keep the truncated tail below ~1e-12"

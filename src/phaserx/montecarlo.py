@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .constellation import BinaryConstellation
+from .constellation import BinaryConstellation, check_count
 from .phasenoise import PhaseNoise
 from .receivers import (
     BIT0_HIGH,
@@ -60,9 +60,9 @@ class TrialConfig:
     scheme: str = SCHEME_KENNEDY
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
+        object.__setattr__(self, "trials", check_count("trials", self.trials, 1))
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
+        if self.seed >= 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed}")
         if self.scheme not in (SCHEME_KENNEDY, SCHEME_HOMODYNE):
             raise ValueError(f"unknown scheme {self.scheme!r}")

@@ -25,9 +25,10 @@ symbol intensities ``mu = a**2 + beta**2 + 2*a*beta*cos(phi)``, and
 ``dF_K/dmu = -p_K(mu)``, so its gradient and Hessian in (theta, beta) are
 phase averages of the same kind.  The grid scan and refinement average on
 one fixed rule, the folded ``GRID_QUAD_ORDER`` rule built once per problem,
-and refinement steers by the derivatives alone; the error probability at a
-point comes only from the adaptive ``generalized_kennedy_detail``, which
-accepts or rejects each step.
+and refinement steers by the derivatives alone: each step is the Newton
+step on the Hessian's absolute curvatures, capped in length.  The error
+probability at a point comes only from the adaptive
+``generalized_kennedy_detail``, which accepts or rejects each step.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constellation import BinaryConstellation, check_nbar, parametrize
+from .constellation import BinaryConstellation, check_count, check_nbar, parametrize
 from .golden import golden_minimize
 from .helstrom import perr_helstrom
 from .phasenoise import ConvergenceError, PhaseNoise, build_rule, check_tolerance
@@ -79,10 +80,8 @@ class OptimizationProblem:
 
     def __post_init__(self):
         check_nbar(self.nbar, positive=True)
-        if self.pnr_ceiling < 1:
-            raise ValueError(f"pnr_ceiling must be >= 1, got {self.pnr_ceiling}")
-        if self.grid_resolution < 2 or self.beta_resolution < 2:
-            raise ValueError("grid resolutions must be >= 2")
+        for name, minimum in (("pnr_ceiling", 1), ("grid_resolution", 2), ("beta_resolution", 2)):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), minimum))
         check_tolerance(self.quad_tolerance)
 
     @property
@@ -209,38 +208,20 @@ def _derivatives(nbar: float, k: int, theta: float, beta: float,
     return grad, hess
 
 
-def _trust_region_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.ndarray:
-    """Exact minimizer of ``grad.p + p.hess.p/2`` over ``|p| <= radius``.
+def _newton_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.ndarray:
+    """Newton step on the absolute curvatures of ``hess``, shortened to
+    ``radius`` when longer (Nocedal & Wright, *Numerical Optimization*,
+    2nd ed., section 3.4).
 
-    The Newton step when ``hess`` is positive definite and the step fits;
-    otherwise the boundary step ``-(hess + shift*I)^-1 grad``, its shift
-    found by bisection.  When ``grad`` has no component along a
-    non-positive curvature direction and no shift reaches the boundary (the
-    "hard case"), the step is completed along that direction.
+    Each gradient component along an eigenvector of ``hess`` is divided by
+    the magnitude of its eigenvalue, so for a nonsingular ``hess`` the step
+    is a descent direction, and the plain Newton step where ``hess`` is
+    positive definite.
     """
     lam, vecs = np.linalg.eigh(hess)
-    (l0, l1), (g0, g1) = lam.tolist(), (vecs.T @ grad).tolist()
-
-    def step(shift: float) -> list[float]:
-        return [-g / (lam_i + shift) if g else 0.0 for g, lam_i in ((g0, l0), (g1, l1))]
-
-    if l0 > 0.0 and math.hypot(*step(0.0)) <= radius:
-        return vecs @ step(0.0)
-    lo = max(0.0, -l0)
-    if g0 == 0.0 and l1 + lo > 0.0 and math.hypot(*step(lo)) <= radius:
-        p = step(lo)
-        p[0] = math.sqrt(radius * radius - p[1] * p[1])
-        return vecs @ p
-    # The step is longer than ``radius`` just above ``lo`` and no longer at
-    # ``hi``, where every shifted curvature is at least ``|grad|/radius``.
-    hi = lo + math.hypot(g0, g1) / radius
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if math.hypot(*step(mid)) > radius:
-            lo = mid
-        else:
-            hi = mid
-    return vecs @ step(hi)
+    step = -vecs @ ((vecs.T @ grad) / np.abs(lam))
+    length = math.hypot(*step)
+    return step if length <= radius else step * (radius / length)
 
 
 def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
@@ -249,13 +230,14 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
     from one grid seed.
 
     Coordinates are scaled by the grid steps ``scale``, so one unit is one
-    grid cell.  Each iteration takes the trust-region step of the quadratic
-    model built from ``_derivatives`` on the fixed rule ``rule``, within a
-    radius of at most one cell.  If the step does not lower the adaptively
-    evaluated error, ``golden_minimize`` searches along it.  The next radius
-    is twice the accepted step, capped at one cell, and the seed has
-    converged once the accepted step is shorter than ``REFINE_TOLERANCE``
-    cells.
+    grid cell.  Each iteration takes ``_newton_step``: the Newton step of
+    the quadratic model built from ``_derivatives`` on the fixed rule
+    ``rule``, on the absolute values of its curvatures, and shortened to
+    the step cap ``radius`` of at most one cell.  If the step does not
+    lower the adaptively evaluated error, ``golden_minimize`` searches
+    along it.  The next cap is twice the accepted step, at most one cell,
+    and the seed has converged once the accepted step is shorter than
+    ``REFINE_TOLERANCE`` cells.
 
     Never regresses: a point is accepted only if its adaptive error is below
     the best so far (the adaptively evaluated seed is iteration 0 of the
@@ -281,7 +263,7 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
     radius = 1.0
     for iteration in range(1, MAX_REFINE_ROUNDS + 1):
         grad, hess = _derivatives(problem.nbar, k, theta, beta, scale, rule)
-        step = _trust_region_step(grad, hess, radius)
+        step = _newton_step(grad, hess, radius)
         length = math.hypot(*step)
         moved = 0.0
         if length >= REFINE_TOLERANCE:
@@ -375,10 +357,9 @@ def sweep_sigma(
     """
     if not sigmas or not pnr_list:
         raise ValueError("sigmas and pnr_list must be non-empty")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = check_count("jobs", jobs, 1)
     problems = [OptimizationProblem(nbar=float(nbar), noise=PhaseNoise(float(sigma)),
-                                    pnr_ceiling=int(pnr), **knobs)
+                                    pnr_ceiling=pnr, **knobs)
                 for pnr in pnr_list for sigma in sigmas]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import roots_hermite
 
+from .constellation import check_count
+
 BASE_ORDER = 32
 MAX_ORDER = 512
 
@@ -139,8 +141,7 @@ def build_rule(noise: PhaseNoise, order: int) -> QuadratureRule:
         Nodes ``sqrt(2)*sigma*t_i`` and weights ``w_i/sqrt(pi)`` where
         (t_i, w_i) is the physicists' Gauss-Hermite rule.
     """
-    if order < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {order}")
+    order = check_count("quadrature order", order, 1)
     if noise.sigma == 0.0:
         return QuadratureRule(nodes=np.zeros(1), weights=np.ones(1), order=1)
     t, w = _hermite_base(order)
@@ -181,8 +182,9 @@ def average(noise: PhaseNoise, f, tolerance: float = 1e-10) -> float | np.ndarra
 
     def converged(coarse, fine) -> bool:
         if isinstance(fine, float):
-            return _close(coarse, fine, tolerance)
-        return all(_close(a, b, tolerance) for a, b in zip(coarse.tolist(), fine.tolist()))
+            return _miss(coarse, fine, tolerance) <= tolerance
+        return all(_miss(a, b, tolerance) <= tolerance
+                   for a, b in zip(coarse.tolist(), fine.tolist()))
 
     # The first two orders share one integrand call: per call, numpy's
     # overhead on these short arrays outweighs the arithmetic.  At sigma = 0
@@ -218,12 +220,8 @@ def _not_converged(coarse, fine, tolerance: float) -> ConvergenceError:
     )
 
 
-def _close(a: float, b: float, tol: float) -> bool:
-    if abs(b) > tol:
-        return abs(a - b) <= tol * abs(b)
-    return abs(a - b) <= tol
-
-
 def _miss(a: float, b: float, tol: float) -> float:
-    """How far ``a`` and ``b`` are apart on the scale ``_close`` tests."""
+    """How far ``a`` is from ``b``: relative to ``b``, or absolute once
+    ``|b|`` is not above ``tol``; two estimates agree when it is at most
+    ``tol``."""
     return abs(a - b) / (abs(b) if abs(b) > tol else 1.0)

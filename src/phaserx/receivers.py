@@ -16,7 +16,7 @@ from itertools import islice
 import numpy as np
 from scipy.special import erfc, gammaln, pdtrc, xlogy
 
-from .constellation import BinaryConstellation, check_amplitude, check_nbar
+from .constellation import BinaryConstellation, check_amplitude, check_count, check_nbar
 from .phasenoise import PhaseNoise, average
 
 # Decision-rule orientations: which bit value is assigned to counts above
@@ -41,10 +41,8 @@ class ReceiverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", check_amplitude("beta", self.beta))
-        if self.pnr_ceiling < 1:
-            raise ValueError(f"pnr_ceiling must be >= 1, got {self.pnr_ceiling}")
-        if self.threshold_k < 0:
-            raise ValueError(f"threshold_k must be >= 0, got {self.threshold_k}")
+        object.__setattr__(self, "pnr_ceiling", check_count("pnr_ceiling", self.pnr_ceiling, 1))
+        object.__setattr__(self, "threshold_k", check_count("threshold_k", self.threshold_k, 0))
         if self.threshold_k >= self.pnr_ceiling:
             raise ValueError(
                 f"threshold_k = {self.threshold_k} must stay below the PNR "
@@ -160,8 +158,7 @@ def photocount_distribution(
     """
     check_amplitude("alpha", alpha)
     check_amplitude("beta", beta)
-    if truncation < 0:
-        raise ValueError(f"truncation must be >= 0, got {truncation}")
+    truncation = check_count("truncation", truncation, 0)
     k = np.arange(truncation + 1.0)[:, None]
 
     def integrand(phases: np.ndarray) -> np.ndarray:

@@ -96,3 +96,23 @@ def test_bench_hooked_names_exist():
         if getattr(importlib.import_module(f"phaserx.{module}"), name, None) is None:
             missing.append(f"phaserx.{entry}")
     assert not missing, "bench/tracing.py hooks names the package lacks:\n" + "\n".join(missing)
+
+
+def _acceptance_criteria() -> tuple[list[str], list[str]]:
+    """The ``test_criterion_*`` functions of ``tests/test_acceptance.py`` in
+    file order, and the names its ``CRITERIA`` list holds."""
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    defined = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("test_criterion_")]
+    listed = next([element.id for element in node.value.elts] for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "CRITERIA" for t in node.targets))
+    return defined, listed
+
+
+def test_acceptance_script_runs_every_criterion():
+    # Run as a script, the acceptance file runs only what ``CRITERIA`` lists,
+    # so a criterion missing from it would be skipped without a word.
+    defined, listed = _acceptance_criteria()
+    assert defined, "no test_criterion_* function found"
+    assert listed == defined, f"CRITERIA lists {listed}, the file defines {defined}"

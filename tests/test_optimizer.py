@@ -11,8 +11,8 @@ from phaserx.optimizer import (
     OptimizationProblem,
     _derivatives,
     _grid_scan,
+    _newton_step,
     _select_seeds,
-    _trust_region_step,
     optimize,
     sweep_sigma,
 )
@@ -237,26 +237,28 @@ def test_folded_rule_steers_like_the_full_rule(sigma, k, labelling):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_trust_region_step_minimizes_the_model():
-    """Against a dense polar scan of the disc, for definite, indefinite and
-    hard-case models."""
+def test_newton_step_is_a_capped_descent_step():
+    """The plain Newton step where the Hessian is positive definite and the
+    step fits; never longer than the cap; downhill for random symmetric
+    Hessians, definite or not; and finite at a saddle point."""
     rng = np.random.default_rng(5)
-    radii = np.linspace(0.0, 1.0, 201)[:, None]
-    angles = np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
-    disc = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=-1).reshape(-1, 2)
-    cases = [(np.array([0.0, 1.0]), np.diag([-1.0, 2.0])),   # hard case
-             (np.zeros(2), np.diag([-1.0, 3.0])),             # saddle point
-             (np.array([1e-3, -2e-3]), np.diag([4.0, 1.0]))]  # interior Newton step
+    cases = [(np.array([1e-3, -2e-3]), np.array([[4.0, 1.0], [1.0, 2.0]]))]
     for _ in range(40):
         a = rng.normal(size=(2, 2))
         cases.append((rng.normal(size=2), a + a.T))
+    newton_steps = 0
     for g, h in cases:
-        def model(p):
-            return p @ g + 0.5 * np.einsum("...i,ij,...j->...", p, h, p)
-
-        p = _trust_region_step(g, h, 1.0)
-        assert math.hypot(*p) <= 1.0 + 1e-9
-        assert model(p) <= model(disc).min() + 1e-9
+        newton = np.linalg.solve(h, -g)
+        for radius in (1e-3, 0.5, 1.0):
+            p = _newton_step(g, h, radius)
+            assert math.hypot(*p) <= radius * (1.0 + 1e-15)
+            assert g @ p < 0.0
+            if np.linalg.eigvalsh(h)[0] > 0.0 and math.hypot(*newton) <= radius:
+                assert math.hypot(*(p - newton)) <= 1e-13 * math.hypot(*newton)
+                newton_steps += 1
+    assert newton_steps >= 3
+    p = _newton_step(np.zeros(2), np.diag([-1.0, 3.0]), 1.0)
+    assert np.all(np.isfinite(p))
 
 
 @pytest.mark.parametrize("sigma, coordinate_search_perr", [
