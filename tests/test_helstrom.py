@@ -101,6 +101,21 @@ def test_density_matrix_shape_and_hermiticity_guards():
     bad[0, 1] = 1j  # not mirrored
     with pytest.raises(ValueError):
         FockDensityMatrix(dim=3, elements=bad)
+    # equal infinities differ by nan, not by 0, and nan is never within the bound
+    inf_pair = np.zeros((3, 3))
+    inf_pair[0, 1] = inf_pair[1, 0] = math.inf
+    nan_diag = np.zeros((3, 3))
+    nan_diag[2, 2] = math.nan
+    for bad in (inf_pair, nan_diag):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            FockDensityMatrix(dim=3, elements=bad)
+    assert FockDensityMatrix(dim=0, elements=np.zeros((0, 0))).trace() == 0.0
+
+
+def test_state_rejects_non_finite_amplitude():
+    for bad in (math.inf, math.nan, complex(1.0, math.inf)):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            phase_diffused_state(bad, PhaseNoise(0.1))
 
 
 def test_trace_distance_basic_properties():

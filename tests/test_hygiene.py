@@ -53,6 +53,37 @@ def test_no_catch_all_handlers():
     assert not found, "bare or catch-all except:\n" + "\n".join(found)
 
 
+POISSON_SPECIALS = {"gammaln", "xlogy", "pdtr", "pdtrc", "gammainc", "gammaincc"}
+
+
+def _poisson_imports(path: Path) -> list[str]:
+    """Imports of a Poisson building block from ``scipy.special``, or of
+    ``scipy.stats`` in any form."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.startswith("scipy.stats")]
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy.special":
+            names = [a.name for a in node.names if a.name in POISSON_SPECIALS]
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            names = [a.name for a in node.names if a.name == "stats"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.stats"):
+            names = [node.module]
+        else:
+            continue
+        found += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}" for name in names]
+    return found
+
+
+def test_poisson_routines_live_in_receivers():
+    # One Poisson pmf and one set of tails: every other module builds on the
+    # ones in receivers.py instead of importing its own.
+    found = [entry for path in SOURCES if path.name != "receivers.py"
+             for entry in _poisson_imports(path)]
+    assert not found, "Poisson routine imported outside receivers.py:\n" + "\n".join(found)
+
+
 def _bench_hooked_names() -> set[str]:
     """Every ``module.name`` of the package that ``bench/tracing.py`` hooks or
     reads: the targets of its ``_const`` and ``_hook`` calls, with a loop

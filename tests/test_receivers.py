@@ -34,6 +34,9 @@ PK3_REAL = 2.696601080510940829e-2                # k=3, alpha=1.2, beta=-0.4, s
 PK2_COMPLEX = 2.642918791579834670e-1             # k=2, alpha=1+0.5j, beta=0.3-0.2j, sigma=0.25
 GK_NEAR_OOK_S45 = 1.101900162226365776e-2         # (-1.9, 0.15), beta=-0.12, K=0, sigma=0.45
 GK_MIXED_S20 = 8.429804064392669091e-3            # (-1.0, 1.4), beta=1.3, K=1, sigma=0.2
+# BPSK at nbar 2, beta = 26, K = 753, sigma = 0: Q(754, mu1)/2 + P(754, mu0)/2 with
+# the regularized incomplete gammas at 40 digits (mpmath), mu0 = 604.46, mu1 = 751.54
+GK_LARGE_MEAN = 0.2654585110615475630
 
 NOISELESS = PhaseNoise(0.0)
 
@@ -202,6 +205,20 @@ def test_generalized_kennedy_equals_one_integrand_per_symbol():
         perr = min(max(average(noise, per_symbol), 0.0), 1.0)
         expected = (perr, BIT1_HIGH) if perr <= 1.0 - perr else (1.0 - perr, BIT0_HIGH)
         assert generalized_kennedy_detail(c, cfg, noise) == expected
+
+
+@pytest.mark.xfail(strict=True, reason="the Poisson recurrence starts from exp(-mu), which "
+                   "underflows to 0 above mu ~ 745 (ROADMAP item 1)")
+def test_large_mean_tail_is_accurate_or_raises():
+    """Tripwire for the underflow: the error at counts in the hundreds must be
+    right to 1e-12 relative or raise, never come back silently wrong (today
+    it reads 1.29e-9)."""
+    cfg = ReceiverConfig(beta=26.0, threshold_k=753, pnr_ceiling=754)
+    try:
+        perr, _ = generalized_kennedy_detail(make_bpsk(2.0), cfg, NOISELESS)
+    except ValueError:
+        return
+    assert perr == pytest.approx(GK_LARGE_MEAN, rel=1e-12)
 
 
 def test_orientation_flip_under_symbol_swap():
