@@ -187,10 +187,12 @@ def _cmd_sweep_sigma(args) -> int:
             if cell.result is None:
                 print(f"warning: optimization failed at sigma={sigma}, "
                       f"pnr={cell.pnr_ceiling}:\n{cell.error}", file=sys.stderr)
+        # perr_sql is the same at every ceiling, so any filled cell gives it;
         # the lead columns come from the highest ceiling
+        perr_sql = next((c.result.perr_sql for c in row_cells if c.result), None)
         lead = row_cells[-1].result
-        row = [_fmt(float(sigma))]
-        row += [_fmt(lead.perr_sql), _fmt(lead.perr_helstrom)] if lead else ["", ""]
+        row = [_fmt(float(sigma)), _fmt(perr_sql) if perr_sql is not None else ""]
+        row.append(_fmt(lead.perr_helstrom) if lead else "")
         row.append(_fmt(hel_best))
         row += [_fmt(cell.result.perr) if cell.result else "" for cell in row_cells]
         if lead:
@@ -366,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[1, 2, 3, 8],
                    help="comma-separated PNR ceilings (default 1,2,3,8)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for sweep cells")
+                   help="worker processes for sweep rows, one row per sigma")
     p.add_argument("--output", default="-", help="CSV path, '-' for stdout")
     _add_common(p, sigma=False)
     _add_grid_knobs(p)

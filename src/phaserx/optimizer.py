@@ -106,6 +106,11 @@ class OptimizationResult:
     # ``MAX_REFINE_ROUNDS`` instead of converging.
     gradient_norm: float
     capped_seeds: int
+    # Every refined seed of thresholds below the ceiling, in refinement
+    # order, as ``(k, theta, beta, perr, trace)`` tuples: the end point of
+    # each seed's refinement, its error and its audit trace.  The winner is
+    # one of them; a lower ceiling's result picks among a prefix.
+    seeds: tuple[tuple, ...] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,19 @@ class SweepCell:
     pnr_ceiling: int
     result: OptimizationResult | None
     error: str | None
+
+
+def _grid_axes(problem: OptimizationProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's constellation angles and displacements."""
+    thetas = np.linspace(0.0, math.pi, problem.grid_resolution, endpoint=False)
+    betas = np.linspace(-problem.beta_max, problem.beta_max, problem.beta_resolution)
+    return thetas, betas
+
+
+def _grid_scale(problem: OptimizationProblem) -> np.ndarray:
+    """The grid steps in (theta, beta): refinement's unit lengths."""
+    thetas, betas = _grid_axes(problem)
+    return np.array([thetas[1] - thetas[0], betas[1] - betas[0]])
 
 
 def _grid_scan(problem: OptimizationProblem, rule):
@@ -129,8 +147,7 @@ def _grid_scan(problem: OptimizationProblem, rule):
     which re-evaluates adaptively.
     """
     s = math.sqrt(2.0 * problem.nbar)
-    thetas = np.linspace(0.0, math.pi, problem.grid_resolution, endpoint=False)
-    betas = np.linspace(-problem.beta_max, problem.beta_max, problem.beta_resolution)
+    thetas, betas = _grid_axes(problem)
     # alpha1 and alpha0 of every theta, shape (2, theta, 1)
     alphas = np.stack([s * np.sin(thetas), s * np.cos(thetas)])[:, :, None]
 
@@ -289,31 +306,36 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
     return theta, beta, best, trace
 
 
-def optimize(problem: OptimizationProblem) -> OptimizationResult:
-    """Full deterministic search: exhaustive threshold scan, dense grid
-    seeding, then damped Newton refinement of the best seeds of each
-    threshold.  The winner is reported as its ``bit1_high`` twin, with the
-    error its refinement accepted, so ``(perr, orientation)`` equals
-    ``generalized_kennedy_detail`` at the reported configuration."""
-    # The one fixed rule of the search may be folded onto phi >= 0: real
-    # amplitudes and a real displacement make every integrand averaged here,
-    # the grid values and the Newton derivatives alike, even in phi.
-    rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
+def _search(problem: OptimizationProblem, rule, scale: np.ndarray) -> tuple:
+    """Grid scan and refinement of every seed of thresholds
+    ``0 .. pnr_ceiling - 1``, in refinement order, as
+    ``(k, theta, beta, perr, trace)`` tuples."""
     thetas, betas, grid_perr = _grid_scan(problem, rule)
-    scale = np.array([thetas[1] - thetas[0], betas[1] - betas[0]])
-    seeds = _select_seeds(grid_perr, REFINE_SEEDS)
-
-    candidates = []
-    for k, i, j in seeds:
+    seeds = []
+    for k, i, j in _select_seeds(grid_perr, REFINE_SEEDS):
         theta, beta, perr, trace = _refine(
             problem, k, float(thetas[i]), float(betas[j]), scale, rule
         )
-        candidates.append((perr, k, theta, beta, trace))
+        seeds.append((k, theta, beta, perr, tuple(trace)))
+    return tuple(seeds)
 
-    best_perr = min(c[0] for c in candidates)
-    eligible = [c for c in candidates if c[0] <= best_perr + TIE_WINDOW]
-    eligible.sort(key=lambda c: (c[1], abs(c[3]), c[2], c[3]))
-    perr, k, theta, beta, trace = eligible[0]
+
+def _pick(problem: OptimizationProblem, seeds: tuple, rule, scale: np.ndarray,
+          like: OptimizationResult | None = None) -> OptimizationResult:
+    """The result at ``problem``'s ceiling: the best of the refined
+    ``seeds`` with ``k < pnr_ceiling`` under the tie-break, with its
+    gradient norm on the fixed rule and its baselines.
+
+    ``like``, a result of the same search at another ceiling, lends its
+    ``perr_sql``, and its ``perr_helstrom`` when the winner has its
+    constellation.
+    """
+    candidates = tuple(s for s in seeds if s[0] < problem.pnr_ceiling)
+    best_perr = min(s[3] for s in candidates)
+    k, theta, beta, perr, trace = min(
+        (s for s in candidates if s[3] <= best_perr + TIE_WINDOW),
+        key=lambda s: (s[0], abs(s[2]), s[1], s[2]),
+    )
 
     constellation = parametrize(theta, problem.nbar)
     grad, _ = _derivatives(problem.nbar, k, theta, beta, scale, rule)
@@ -321,22 +343,68 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
         constellation=constellation,
         config=ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=problem.pnr_ceiling),
         perr=perr,
-        perr_sql=perr_sql_baseline(problem.nbar, problem.noise, problem.quad_tolerance),
-        perr_helstrom=perr_helstrom(constellation, problem.noise),
+        perr_sql=(like.perr_sql if like
+                  else perr_sql_baseline(problem.nbar, problem.noise, problem.quad_tolerance)),
+        perr_helstrom=(like.perr_helstrom if like and like.constellation == constellation
+                       else perr_helstrom(constellation, problem.noise)),
         orientation=BIT1_HIGH,
-        trace=tuple(trace),
+        trace=trace,
         gradient_norm=math.hypot(*grad),
-        capped_seeds=sum(c[4][-1][0] >= MAX_REFINE_ROUNDS for c in candidates),
+        capped_seeds=sum(s[4][-1][0] >= MAX_REFINE_ROUNDS for s in candidates),
+        seeds=candidates,
     )
 
 
-def _sweep_cell(problem: OptimizationProblem) -> SweepCell:
+def _search_rule(problem: OptimizationProblem):
+    # The one fixed rule of the search may be folded onto phi >= 0: real
+    # amplitudes and a real displacement make every integrand averaged here,
+    # the grid values and the Newton derivatives alike, even in phi.
+    return build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
+
+
+def optimize(problem: OptimizationProblem) -> OptimizationResult:
+    """Full deterministic search: exhaustive threshold scan, dense grid
+    seeding, then damped Newton refinement of the best seeds of each
+    threshold.  The winner is reported as its ``bit1_high`` twin, with the
+    error its refinement accepted, so ``(perr, orientation)`` equals
+    ``generalized_kennedy_detail`` at the reported configuration."""
+    rule, scale = _search_rule(problem), _grid_scale(problem)
+    return _pick(problem, _search(problem, rule, scale), rule, scale)
+
+
+def _derive(top: OptimizationResult, problem: OptimizationProblem) -> OptimizationResult:
+    """``optimize(problem)`` read off ``top``, the result of the same
+    problem at a ceiling at or above ``problem``'s.
+
+    Nothing in a threshold's grid slice, seeds or refinement depends on the
+    ceiling, so ``top.seeds`` holds every refined seed that ``optimize``
+    would refine here, in the same order, and picking among them gives the
+    same result field for field.
+    """
+    return _pick(problem, top.seeds, _search_rule(problem), _grid_scale(problem), like=top)
+
+
+def _sweep_cell(problem: OptimizationProblem,
+                top: OptimizationResult | None = None) -> SweepCell:
+    """One cell: ``problem``'s own ``optimize`` or, given ``top``, the
+    result of the same problem at a higher ceiling, derived from it."""
     try:
-        result, error = optimize(problem), None
+        result = optimize(problem) if top is None else _derive(top, problem)
+        error = None
     except NUMERICAL_FAILURES:
         result, error = None, traceback.format_exc(limit=3)
     return SweepCell(sigma=problem.noise.sigma, pnr_ceiling=problem.pnr_ceiling,
                      result=result, error=error)
+
+
+def _sweep_row(problems: list[OptimizationProblem]) -> list[SweepCell]:
+    """The cells of one sigma, ``problems`` in ascending ceiling order: one
+    ``optimize`` at the highest ceiling, from which every lower ceiling is
+    derived.  If that search fails numerically, each lower ceiling runs its
+    own ``optimize``, so a cell fails exactly when its own search does."""
+    *lower, highest = problems
+    top = _sweep_cell(highest)
+    return [_sweep_cell(p, top.result) for p in lower] + [top]
 
 
 def sweep_sigma(
@@ -346,22 +414,30 @@ def sweep_sigma(
     jobs: int = 1,
     **knobs,
 ) -> list[SweepCell]:
-    """One optimization per (PNR ceiling, sigma) pair, in that row order.
+    """The optimized receiver at every (PNR ceiling, sigma) pair, returned
+    in that row order, ``pnr_list`` as given (duplicates repeat their cells).
 
-    Every problem is built, and so validated, before the first cell runs:
-    an invalid input raises ``ValueError`` for the whole sweep.  A cell whose
-    optimization fails numerically (``NUMERICAL_FAILURES``) is recorded with
-    its error instead of aborting the sweep; any other error propagates.
-    ``jobs > 1`` dispatches cells to a process pool; the output order is the
-    grid order either way, so parallel and serial runs agree bit for bit.
+    One search per sigma serves every ceiling: ``optimize`` runs once, at
+    the highest ceiling, and each lower ceiling's cell is read off its
+    refined seeds, equal to that ceiling's own ``optimize`` field for field.
+    Every problem is built, and so validated, before the first search
+    runs: an invalid input raises ``ValueError`` for the whole sweep.  A
+    cell whose optimization fails numerically (``NUMERICAL_FAILURES``) is
+    recorded with its error instead of aborting the sweep; any other error
+    propagates.  ``jobs > 1`` dispatches the sigmas' rows to a process
+    pool; the output order is the grid order either way, so parallel and
+    serial runs agree bit for bit.
     """
     if not sigmas or not pnr_list:
         raise ValueError("sigmas and pnr_list must be non-empty")
     jobs = check_count("jobs", jobs, 1)
-    problems = [OptimizationProblem(nbar=float(nbar), noise=PhaseNoise(float(sigma)),
-                                    pnr_ceiling=pnr, **knobs)
-                for pnr in pnr_list for sigma in sigmas]
+    ceilings = sorted({check_count("pnr_ceiling", pnr, 1) for pnr in pnr_list})
+    rows = [[OptimizationProblem(nbar=float(nbar), noise=PhaseNoise(float(sigma)),
+                                 pnr_ceiling=pnr, **knobs) for pnr in ceilings]
+            for sigma in sigmas]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_cell, problems))
-    return [_sweep_cell(p) for p in problems]
+            done = list(pool.map(_sweep_row, rows))
+    else:
+        done = [_sweep_row(row) for row in rows]
+    return [row[ceilings.index(pnr)] for pnr in pnr_list for row in done]

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from phaserx import cli
+from phaserx import cli, optimizer
 from phaserx.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from phaserx.phasenoise import PhaseNoise
 from phaserx.receivers import perr_bpsk_hom, perr_helstrom_noiseless, perr_ook_dd
@@ -134,6 +134,55 @@ def test_sweep_sigma_blank_cells_for_failed_optimizations(tmp_path, capsys):
     warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
     assert warnings == ["warning: optimization failed at sigma=40.0, pnr=1:",
                         "warning: optimization failed at sigma=40.0, pnr=2:"]
+
+
+def test_sweep_sigma_perr_sql_from_any_filled_cell(tmp_path, capsys):
+    # At nbar 2, sigma 1.2 only the PNR-8 optimization fails; perr_sql does
+    # not depend on the ceiling, so the PNR-1 and PNR-2 cells give it.
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep-sigma", "--nbar", "2", "--sigma-min", "1.2", "--sigma-max", "1.2",
+               "--step", "1", "--pnr-list", "1,2,8", "--output", str(out), *FAST_GRID])
+    assert rc == EXIT_OK
+    _, header, rows = read_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert float(row["perr_sql"]) == pytest.approx(
+        min(perr_ook_dd(2.0), perr_bpsk_hom(2.0, PhaseNoise(1.2))), rel=1e-9)
+    assert row["perr_pnr1"] and row["perr_pnr2"]
+    blank = ["perr_helstrom_at_optimum", "perr_pnr8",
+             "alpha0", "alpha1", "beta", "threshold_k", "orientation"]
+    assert [row[c] for c in blank] == [""] * len(blank)
+    warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
+    assert warnings == ["warning: optimization failed at sigma=1.2, pnr=8:"]
+
+
+SWEEP_ARGV = ["sweep-sigma", "--nbar", "2", "--sigma-max", "0.45", "--step", "0.15",
+              "--pnr-list", "1,8", *FAST_GRID]
+
+
+def test_sweep_sigma_jobs_do_not_change_the_csv(tmp_path):
+    csvs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main([*SWEEP_ARGV, "--jobs", jobs, "--output", str(out)]) == EXIT_OK
+        csvs.append([l for l in out.read_text().splitlines()
+                     if not l.startswith("# timestamp:")])
+    assert csvs[0] == csvs[1]
+
+
+def test_sweep_sigma_runs_one_optimize_per_sigma(tmp_path, monkeypatch):
+    # Each sigma's row searches once, at the highest ceiling, through the
+    # module's ``optimize``, so a wrapper installed there times every search.
+    plain, ceilings = optimizer.optimize, []
+
+    def counted(problem):
+        ceilings.append(problem.pnr_ceiling)
+        return plain(problem)
+
+    monkeypatch.setattr(optimizer, "optimize", counted)
+    out = tmp_path / "sweep.csv"
+    assert main([*SWEEP_ARGV, "--jobs", "1", "--output", str(out)]) == EXIT_OK
+    assert ceilings == [8] * 4
+    assert len(read_csv(out)[2]) == 4
 
 
 def test_optimize_report_and_trace(tmp_path, capsys):

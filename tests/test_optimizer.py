@@ -134,10 +134,51 @@ def test_sweep_grid_order_and_pnr_nesting():
 
 
 def test_parallel_sweep_matches_serial():
-    serial = sweep_sigma(2.0, [0.0, 0.45], [2], **FAST)
-    parallel = sweep_sigma(2.0, [0.0, 0.45], [2], jobs=2, **FAST)
+    # several sigmas and ceilings, so that rows go to different workers and
+    # each derives its lower ceilings there
+    sigmas, pnrs = [0.0, 0.15, 0.3, 0.45], [1, 3, 8]
+    serial = sweep_sigma(2.0, sigmas, pnrs, **FAST)
+    parallel = sweep_sigma(2.0, sigmas, pnrs, jobs=2, **FAST)
     assert all(c.error is None for c in parallel)
     assert parallel == serial
+
+
+def test_sweep_cells_equal_their_own_optimize():
+    """One search per sigma serves every ceiling: on 12 problems, each cell
+    equals its ceiling's own ``optimize`` as a whole result, seeds
+    included."""
+    sigmas, pnrs = [0.0, 0.2, 0.45], [1, 2, 3, 4, 8]
+    moved = 0
+    for nbar in (0.5, 1.0, 2.0, 3.0):
+        cells = sweep_sigma(nbar, sigmas, pnrs, **FAST)
+        assert [(c.pnr_ceiling, c.sigma) for c in cells] == [(p, s) for p in pnrs for s in sigmas]
+        top = {c.sigma: c.result for c in cells if c.pnr_ceiling == pnrs[-1]}
+        for cell in cells:
+            assert cell.error is None
+            assert cell.result == optimize(fast_problem(nbar, cell.sigma, cell.pnr_ceiling))
+            moved += cell.result.constellation != top[cell.sigma].constellation
+    # lower ceilings do not all repeat the top ceiling's winner
+    assert moved > 0
+
+
+def test_sweep_keeps_the_callers_ceiling_order_and_duplicates():
+    sigmas = [0.1, 0.3]
+    cells = sweep_sigma(1.5, sigmas, [8, 1, 8], **FAST)
+    assert [(c.pnr_ceiling, c.sigma) for c in cells] == [(p, s) for p in (8, 1, 8) for s in sigmas]
+    ascending = sweep_sigma(1.5, sigmas, [1, 8], **FAST)
+    assert cells == ascending[2:] + ascending[:2] + ascending[2:]
+
+
+def test_sweep_fails_only_the_ceilings_that_fail_on_their_own():
+    # At nbar 2, sigma 1.2 the PNR-8 search meets a phase average that does
+    # not converge, while the PNR-1 and PNR-2 searches do not: their cells
+    # are still filled, each by its own search.
+    low1, low2, top = sweep_sigma(2.0, [1.2], [1, 2, 8], **FAST)
+    assert top.result is None
+    assert "ConvergenceError" in top.error
+    for cell in (low1, low2):
+        assert cell.error is None
+        assert cell.result == optimize(fast_problem(2.0, 1.2, cell.pnr_ceiling))
 
 
 def test_sweep_records_failures_per_cell():
