@@ -75,9 +75,9 @@ def poisson_inverse(u: np.ndarray, mu: np.ndarray, max_count: int = 2000) -> np.
     reads that off :func:`~phaserx.receivers.poisson_cdf`; this full sampler
     is the reference that decision is tested against.  Sequential search
     along :func:`~phaserx.receivers._poisson_cdfs`, the package's one
-    Poisson recurrence; exact for any mean that keeps ``exp(-mu)`` above the
-    underflow threshold.  ``max_count`` only guards against a (probability
-    ~2^-53) stall once the term recurrence has underflowed.
+    Poisson recurrence; exact for means up to ``-log(tiny) ~ 708.4``, and
+    not checked against that range.  ``max_count`` only guards against a
+    (probability ~2^-53) stall once the term recurrence has underflowed.
     """
     k = np.zeros(u.shape, dtype=np.int64)
     for j, cdf in enumerate(_poisson_cdfs(mu)):
@@ -104,6 +104,8 @@ def simulate_perr(
     the quadrature decision point (a float, usually 0) for homodyne.
     ``orientation`` selects which bit value is decoded from the high side of
     the threshold (counts above K, or quadrature above the decision point).
+    The photon-counting decision reads ``poisson_cdf``, so a trial whose
+    mean count exceeds ``-log(tiny) ~ 708.4`` raises ``ValueError``.
     """
     if orientation not in (BIT1_HIGH, BIT0_HIGH):
         raise ValueError(f"unknown orientation {orientation!r}")

@@ -101,15 +101,17 @@ class OptimizationResult:
     # Always ``bit1_high``: the search reports every optimum as that twin.
     orientation: str
     trace: tuple[tuple[int, float], ...] = field(repr=False)
-    # Norm of the grid-scaled gradient of ``perr`` at the optimum (on the
-    # optimizer's fixed rule), and how many refinement seeds stopped on
-    # ``MAX_REFINE_ROUNDS`` instead of converging.
+    # The winning seed's gradient norm (see ``seeds``), and how many
+    # refinement seeds stopped on ``MAX_REFINE_ROUNDS`` instead of
+    # converging.
     gradient_norm: float
     capped_seeds: int
     # Every refined seed of thresholds below the ceiling, in refinement
-    # order, as ``(k, theta, beta, perr, trace)`` tuples: the end point of
-    # each seed's refinement, its error and its audit trace.  The winner is
-    # one of them; a lower ceiling's result picks among a prefix.
+    # order, as ``(k, theta, beta, perr, trace, gradient_norm)`` tuples: the
+    # end point of each seed's refinement, its error, its audit trace and
+    # the norm of the grid-scaled gradient of ``perr`` there (on the
+    # optimizer's fixed rule).  The winner is one of them; a lower
+    # ceiling's result picks among a prefix.
     seeds: tuple[tuple, ...] = field(repr=False)
 
 
@@ -123,19 +125,6 @@ class SweepCell:
     error: str | None
 
 
-def _grid_axes(problem: OptimizationProblem) -> tuple[np.ndarray, np.ndarray]:
-    """The grid's constellation angles and displacements."""
-    thetas = np.linspace(0.0, math.pi, problem.grid_resolution, endpoint=False)
-    betas = np.linspace(-problem.beta_max, problem.beta_max, problem.beta_resolution)
-    return thetas, betas
-
-
-def _grid_scale(problem: OptimizationProblem) -> np.ndarray:
-    """The grid steps in (theta, beta): refinement's unit lengths."""
-    thetas, betas = _grid_axes(problem)
-    return np.array([thetas[1] - thetas[0], betas[1] - betas[0]])
-
-
 def _grid_scan(problem: OptimizationProblem, rule):
     """Evaluate the error probability on the full (K, theta, beta) grid,
     averaged on the fixed rule ``rule``.
@@ -147,7 +136,8 @@ def _grid_scan(problem: OptimizationProblem, rule):
     which re-evaluates adaptively.
     """
     s = math.sqrt(2.0 * problem.nbar)
-    thetas, betas = _grid_axes(problem)
+    thetas = np.linspace(0.0, math.pi, problem.grid_resolution, endpoint=False)
+    betas = np.linspace(-problem.beta_max, problem.beta_max, problem.beta_resolution)
     # alpha1 and alpha0 of every theta, shape (2, theta, 1)
     alphas = np.stack([s * np.sin(thetas), s * np.cos(thetas)])[:, :, None]
 
@@ -264,7 +254,9 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
     ``1 - x``; then ``x >= 1/2``, so both ``1 - x`` and ``1 - (1 - x)`` are
     exact and the ``bit1_high`` error is read off without rounding.
 
-    Returns ``(theta, beta, best, trace)`` for the last accepted point.
+    Returns ``(theta, beta, best, trace, gradient_norm)`` for the last
+    accepted point, with the norm of the grid-scaled gradient there on
+    ``rule``: the last round's, taken again only if that round moved.
     """
 
     def evaluate(theta: float, beta: float) -> float:
@@ -303,28 +295,38 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
         if moved < REFINE_TOLERANCE:
             break
         radius = min(1.0, 2.0 * moved)
-    return theta, beta, best, trace
+    if moved:
+        grad, _ = _derivatives(problem.nbar, k, theta, beta, scale, rule)
+    return theta, beta, best, trace, math.hypot(*grad)
 
 
-def _search(problem: OptimizationProblem, rule, scale: np.ndarray) -> tuple:
+def _search(problem: OptimizationProblem) -> tuple:
     """Grid scan and refinement of every seed of thresholds
     ``0 .. pnr_ceiling - 1``, in refinement order, as
-    ``(k, theta, beta, perr, trace)`` tuples."""
+    ``(k, theta, beta, perr, trace, gradient_norm)`` tuples.
+
+    The one fixed rule of the search is folded onto phi >= 0: real
+    amplitudes and a real displacement make every integrand averaged on
+    it, the grid values and the Newton derivatives alike, even in phi.
+    Refinement's unit lengths are the grid steps.
+    """
+    rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
     thetas, betas, grid_perr = _grid_scan(problem, rule)
+    scale = np.array([thetas[1] - thetas[0], betas[1] - betas[0]])
     seeds = []
     for k, i, j in _select_seeds(grid_perr, REFINE_SEEDS):
-        theta, beta, perr, trace = _refine(
+        theta, beta, perr, trace, norm = _refine(
             problem, k, float(thetas[i]), float(betas[j]), scale, rule
         )
-        seeds.append((k, theta, beta, perr, tuple(trace)))
+        seeds.append((k, theta, beta, perr, tuple(trace), norm))
     return tuple(seeds)
 
 
-def _pick(problem: OptimizationProblem, seeds: tuple, rule, scale: np.ndarray,
+def _pick(problem: OptimizationProblem, seeds: tuple,
           like: OptimizationResult | None = None) -> OptimizationResult:
     """The result at ``problem``'s ceiling: the best of the refined
     ``seeds`` with ``k < pnr_ceiling`` under the tie-break, with its
-    gradient norm on the fixed rule and its baselines.
+    baselines.
 
     ``like``, a result of the same search at another ceiling, lends its
     ``perr_sql``, and its ``perr_helstrom`` when the winner has its
@@ -332,13 +334,12 @@ def _pick(problem: OptimizationProblem, seeds: tuple, rule, scale: np.ndarray,
     """
     candidates = tuple(s for s in seeds if s[0] < problem.pnr_ceiling)
     best_perr = min(s[3] for s in candidates)
-    k, theta, beta, perr, trace = min(
+    k, theta, beta, perr, trace, gradient_norm = min(
         (s for s in candidates if s[3] <= best_perr + TIE_WINDOW),
         key=lambda s: (s[0], abs(s[2]), s[1], s[2]),
     )
 
     constellation = parametrize(theta, problem.nbar)
-    grad, _ = _derivatives(problem.nbar, k, theta, beta, scale, rule)
     return OptimizationResult(
         constellation=constellation,
         config=ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=problem.pnr_ceiling),
@@ -349,17 +350,10 @@ def _pick(problem: OptimizationProblem, seeds: tuple, rule, scale: np.ndarray,
                        else perr_helstrom(constellation, problem.noise)),
         orientation=BIT1_HIGH,
         trace=trace,
-        gradient_norm=math.hypot(*grad),
+        gradient_norm=gradient_norm,
         capped_seeds=sum(s[4][-1][0] >= MAX_REFINE_ROUNDS for s in candidates),
         seeds=candidates,
     )
-
-
-def _search_rule(problem: OptimizationProblem):
-    # The one fixed rule of the search may be folded onto phi >= 0: real
-    # amplitudes and a real displacement make every integrand averaged here,
-    # the grid values and the Newton derivatives alike, even in phi.
-    return build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
 
 
 def optimize(problem: OptimizationProblem) -> OptimizationResult:
@@ -368,28 +362,16 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     threshold.  The winner is reported as its ``bit1_high`` twin, with the
     error its refinement accepted, so ``(perr, orientation)`` equals
     ``generalized_kennedy_detail`` at the reported configuration."""
-    rule, scale = _search_rule(problem), _grid_scale(problem)
-    return _pick(problem, _search(problem, rule, scale), rule, scale)
-
-
-def _derive(top: OptimizationResult, problem: OptimizationProblem) -> OptimizationResult:
-    """``optimize(problem)`` read off ``top``, the result of the same
-    problem at a ceiling at or above ``problem``'s.
-
-    Nothing in a threshold's grid slice, seeds or refinement depends on the
-    ceiling, so ``top.seeds`` holds every refined seed that ``optimize``
-    would refine here, in the same order, and picking among them gives the
-    same result field for field.
-    """
-    return _pick(problem, top.seeds, _search_rule(problem), _grid_scale(problem), like=top)
+    return _pick(problem, _search(problem))
 
 
 def _sweep_cell(problem: OptimizationProblem,
                 top: OptimizationResult | None = None) -> SweepCell:
     """One cell: ``problem``'s own ``optimize`` or, given ``top``, the
-    result of the same problem at a higher ceiling, derived from it."""
+    result of the same problem at a higher ceiling, picked among its
+    seeds."""
     try:
-        result = optimize(problem) if top is None else _derive(top, problem)
+        result = optimize(problem) if top is None else _pick(problem, top.seeds, like=top)
         error = None
     except NUMERICAL_FAILURES:
         result, error = None, traceback.format_exc(limit=3)
@@ -400,8 +382,15 @@ def _sweep_cell(problem: OptimizationProblem,
 def _sweep_row(problems: list[OptimizationProblem]) -> list[SweepCell]:
     """The cells of one sigma, ``problems`` in ascending ceiling order: one
     ``optimize`` at the highest ceiling, from which every lower ceiling is
-    derived.  If that search fails numerically, each lower ceiling runs its
-    own ``optimize``, so a cell fails exactly when its own search does."""
+    read.
+
+    Nothing in a threshold's grid slice, seeds or refinement depends on the
+    ceiling, so the top result's ``seeds`` hold every refined seed that a
+    lower ceiling's ``optimize`` would refine, in the same order, each with
+    its gradient norm; picking among them gives that ``optimize`` field for
+    field.  If the top search fails numerically, each lower ceiling runs
+    its own ``optimize``, so a cell fails exactly when its own search does.
+    """
     *lower, highest = problems
     top = _sweep_cell(highest)
     return [_sweep_cell(p, top.result) for p in lower] + [top]

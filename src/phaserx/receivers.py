@@ -10,6 +10,7 @@ go through :mod:`phaserx.phasenoise`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -87,8 +88,12 @@ def _poisson_cdfs(mu):
     """Poisson ``P(count <= 0), P(count <= 1), ...`` for mean(s) ``mu``.
 
     The package's one Poisson recurrence: all-positive terms
-    ``exp(-mu) * mu**j / j!`` summed in order, so it is stable for any mean
-    that keeps ``exp(-mu)`` above the underflow threshold.
+    ``exp(-mu) * mu**j / j!`` summed in order.  It is accurate to about
+    1e-15 relative for means up to ``-log(tiny) ~ 708.4``, where
+    ``exp(-mu)`` is still a normal double.  Above that it silently loses
+    precision, and it reads 0 once ``exp(-mu)`` underflows (from about 745
+    up).  ``poisson_cdf`` checks its means; the grid scan, which only
+    chooses seeds, and the reference sampler ``poisson_inverse`` do not.
     """
     term = np.exp(-mu)
     cdf = term
@@ -102,8 +107,21 @@ def _poisson_cdfs(mu):
 
 
 def poisson_cdf(k: int, mu: np.ndarray) -> np.ndarray:
-    """Poisson ``P(count <= k)`` by the stable all-positive term recurrence."""
-    return next(islice(_poisson_cdfs(np.asarray(mu, dtype=float)), k, None))
+    """Poisson ``P(count <= k)`` by the stable all-positive term recurrence.
+
+    Accurate to about 1e-15 relative for every mean up to
+    ``-log(tiny) ~ 708.4``, ``tiny`` being the smallest normal double, so
+    that ``exp(-mu)`` is a normal double too; any larger mean raises
+    ``ValueError`` instead of returning a CDF that has lost its precision.
+    """
+    k = check_count("k", k, 0)
+    mu = np.asarray(mu, dtype=float)
+    limit = -math.log(sys.float_info.min)
+    if (mu > limit).any():
+        raise ValueError(f"Poisson mean {mu[mu > limit].max()} is above {limit:.4f}, where "
+                         "exp(-mu) is no longer a normal double and the CDF recurrence "
+                         "loses its precision")
+    return next(islice(_poisson_cdfs(mu), k, None))
 
 
 def _poisson_pmf(k, mu):

@@ -15,7 +15,7 @@ from phaserx.helstrom import perr_helstrom, phase_diffused_state
 from phaserx.montecarlo import TrialConfig
 from phaserx.optimizer import OptimizationProblem, sweep_sigma
 from phaserx.phasenoise import PhaseNoise, build_rule
-from phaserx.receivers import ReceiverConfig, photocount_distribution
+from phaserx.receivers import ReceiverConfig, photocount_distribution, poisson_cdf
 
 # h*c/lambda at 1550 nm, from CODATA-exact h and c:
 PSD_1550_PER_PHOTON = 1.281577972354147548e-19
@@ -114,6 +114,7 @@ COUNT_INPUTS = [
     ("TrialConfig.seed", lambda n: TrialConfig(trials=10, seed=n).seed, 1),
     ("photocount_distribution.truncation",
      lambda n: photocount_distribution(1.0, 0.0, NOISE, n).probs.size - 1, 2),
+    ("poisson_cdf.k", lambda n: poisson_cdf(n, 1.0) and n, 2),
     ("build_rule.order", lambda n: build_rule(NOISE, n).order, 8),
     ("phase_diffused_state.dim", lambda n: phase_diffused_state(1.0, NOISE, n).dim, 40),
     ("perr_helstrom.dim", lambda n: perr_helstrom(make_bpsk(1.0), NOISE, n) and n, 40),

@@ -7,6 +7,7 @@ import pytest
 from phaserx.constellation import BinaryConstellation, parametrize
 from phaserx.optimizer import (
     GRID_QUAD_ORDER,
+    MAX_REFINE_ROUNDS,
     REFINE_SEEDS,
     OptimizationProblem,
     _derivatives,
@@ -333,7 +334,33 @@ def test_bright_noiseless_optimum_no_worse_than_coordinate_search():
     assert res.perr <= 1.114661948892046e-9
 
 
-@pytest.mark.xfail(strict=True, reason="refinement stops on the round cap short of a "
+def test_every_seed_records_the_gradient_norm_at_its_end_point():
+    """Each refined seed's sixth entry is the norm of the grid-scaled
+    gradient at its end point on the folded search rule, both where the
+    last round moved the point and where it did not; the result reports
+    the winner's."""
+    seen = {"capped": 0, "moved last": 0, "still last": 0}
+    # all 5 seeds of the first problem are capped, and move in their last
+    # round; the second problem's seeds converge
+    for problem in (fast_problem(5.0, 0.0, 1), fast_problem(2.0, 0.2, 3)):
+        res = optimize(problem)
+        rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
+        thetas = np.linspace(0.0, math.pi, problem.grid_resolution, endpoint=False)
+        betas = np.linspace(-problem.beta_max, problem.beta_max, problem.beta_resolution)
+        scale = np.array([thetas[1] - thetas[0], betas[1] - betas[0]])
+        for k, theta, beta, _, trace, norm in res.seeds:
+            grad, _ = _derivatives(problem.nbar, k, theta, beta, scale, rule)
+            assert norm == math.hypot(*grad)
+            seen["capped"] += trace[-1][0] >= MAX_REFINE_ROUNDS
+            # an accepted move always lowers the error
+            seen["moved last" if trace[-1][1] < trace[-2][1] else "still last"] += 1
+        winner = [s for s in res.seeds if (s[0], s[2], s[3], s[4]) == (
+            res.config.threshold_k, res.config.beta, res.perr, res.trace)]
+        assert winner and all(s[5] == res.gradient_norm for s in winner)
+    assert all(seen.values()), seen
+
+
+@pytest.mark.xfail(reason="refinement stops on the round cap short of a "
                    "stationary point here (ROADMAP item 2)")
 @pytest.mark.parametrize("nbar, sigma", [(5.0, 0.0), (1e-4, 0.2)])
 def test_default_knobs_reach_a_stationary_point(nbar, sigma):

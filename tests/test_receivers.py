@@ -67,6 +67,17 @@ def test_poisson_cdf_against_scipy():
     mus = np.array([0.0, 0.3, 1.0, 4.0, 17.5])
     for k in (0, 1, 2, 5, 12):
         assert np.allclose(poisson_cdf(k, mus), poisson.cdf(k, mus), rtol=1e-13, atol=1e-15)
+    # large means, at counts below, at and above the mean: relative precision
+    for mu in (100.0, 400.0, 650.0, 708.0):
+        for k in (int(mu) - 60, int(mu), int(mu) + 60):
+            want = poisson.cdf(k, mu)
+            assert abs(poisson_cdf(k, mu) - want) <= 1e-13 * want, (k, mu)
+    # above -log(tiny) the recurrence's first term exp(-mu) is no longer a
+    # normal double: the CDF raises rather than come back wrong
+    limit = -math.log(np.finfo(float).tiny)
+    for mu in (np.nextafter(limit, np.inf), 751.5, np.array([1.0, 708.5, 2.0])):
+        with pytest.raises(ValueError, match="above"):
+            poisson_cdf(700, mu)
 
 
 def test_perr_ook_dd_closed_form():
@@ -207,12 +218,10 @@ def test_generalized_kennedy_equals_one_integrand_per_symbol():
         assert generalized_kennedy_detail(c, cfg, noise) == expected
 
 
-@pytest.mark.xfail(strict=True, reason="the Poisson recurrence starts from exp(-mu), which "
-                   "underflows to 0 above mu ~ 745 (ROADMAP item 1)")
 def test_large_mean_tail_is_accurate_or_raises():
-    """Tripwire for the underflow: the error at counts in the hundreds must be
-    right to 1e-12 relative or raise, never come back silently wrong (today
-    it reads 1.29e-9)."""
+    """The error at counts in the hundreds must be right to 1e-12 relative
+    or raise, never come back silently wrong (an unguarded recurrence
+    reads 1.29e-9 here)."""
     cfg = ReceiverConfig(beta=26.0, threshold_k=753, pnr_ceiling=754)
     try:
         perr, _ = generalized_kennedy_detail(make_bpsk(2.0), cfg, NOISELESS)
