@@ -4,9 +4,12 @@ Every CSV starts with '#'-prefixed manifest lines (command, parameters, tool
 version, timestamp) so a file documents how it was produced; the parameters
 line records every parsed option except ``output``, ``jobs``, ``validate``,
 ``seed`` and ``trace_output``, which change no number (``pk`` records its
-resolved ``kmax``, ``sweep-sigma`` its sorted ``pnr_list``).  Data rows are
-plain comma-separated values with at least 10 significant digits, and
-re-running a command with the same flags reproduces them byte for byte.
+resolved ``kmax``, ``sweep-sigma`` its sorted ``pnr_list``).  ``sweep-nbar``
+and ``helstrom`` take no ``--tolerance``: every average of ``sweep-nbar`` is
+at sigma 0, where the one-node rule is exact, and ``helstrom`` takes its
+phase average in closed form.  Data rows are plain comma-separated values
+with at least 10 significant digits, and re-running a command with the
+same flags reproduces them byte for byte.
 
 Exit codes: 0 success, 2 usage error (a size too large to allocate is
 one), 3 I/O error, 4 numerical failure.
@@ -37,6 +40,7 @@ from .montecarlo import SCHEME_KENNEDY, TrialConfig, simulate_perr
 from .optimizer import NUMERICAL_FAILURES, OptimizationProblem, optimize, sweep_sigma
 from .phasenoise import PhaseNoise
 from .receivers import (
+    BIT1_HIGH,
     ReceiverConfig,
     perr_bpsk_hom,
     perr_generalized_kennedy,
@@ -152,7 +156,7 @@ def _cmd_sweep_nbar(args) -> int:
                 _fmt(float(nbar)),
                 _fmt(psd_watts_per_hz(float(nbar), wavelength)),
                 _fmt(perr_ook_dd(nb)),
-                _fmt(perr_bpsk_hom(nb, noiseless, args.tolerance)),
+                _fmt(perr_bpsk_hom(nb, noiseless)),
                 _fmt(perr_generalized_kennedy(bpsk, kennedy, noiseless)),
                 _fmt(perr_helstrom_noiseless(bpsk)),
             ]
@@ -201,7 +205,7 @@ def _cmd_sweep_sigma(args) -> int:
                 _fmt(lead.constellation.alpha1.real),
                 _fmt(lead.config.beta.real),
                 str(lead.config.threshold_k),
-                lead.orientation,
+                BIT1_HIGH,
             ]
         else:
             row += [""] * 5
@@ -228,7 +232,7 @@ def _cmd_optimize(args) -> int:
     print(f"alpha1 = {_fmt(result.constellation.alpha1.real)}")
     print(f"beta = {_fmt(result.config.beta.real)}")
     print(f"threshold_k = {result.config.threshold_k}")
-    print(f"orientation = {result.orientation}")
+    print(f"orientation = {BIT1_HIGH}")
     print(f"perr = {_fmt(result.perr)}")
     print(f"perr_sql = {_fmt(result.perr_sql)}")
     print(f"perr_helstrom = {_fmt(result.perr_helstrom)}")
@@ -237,10 +241,8 @@ def _cmd_optimize(args) -> int:
     print(f"capped_seeds = {result.capped_seeds}")
 
     if trials is not None:
-        estimate, std_error = simulate_perr(
-            result.constellation, result.config, problem.noise, trials,
-            orientation=result.orientation,
-        )
+        estimate, std_error = simulate_perr(result.constellation, result.config,
+                                            problem.noise, trials)
         if std_error > 0.0:
             z = (estimate - result.perr) / std_error
         else:
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wavelength-nm", type=float, default=1550.0,
                    help="wavelength for the PSD column (default 1550)")
     p.add_argument("--output", default="-", help="CSV path, '-' for stdout")
-    _add_common(p, nbar=False, sigma=False)
+    _add_common(p, nbar=False, sigma=False, tolerance=False)
     p.set_defaults(func=_cmd_sweep_nbar)
 
     p = sub.add_parser("sweep-sigma", help="optimized receiver vs noise strength")

@@ -16,8 +16,10 @@ random numbers: as easy as 1, 2, 3", SC'11).  Per trial the uniform triple
 ``(u_bit, u_phase, u_outcome)`` is consumed in row-major order.  Every
 outcome is produced by inversion of its uniform: the bit as ``u < 1/2``,
 the phase through the inverse normal CDF, the photon-counting decision as
-``u >= P(count <= K)`` (exactly the event that the inverse-CDF photocount
-exceeds ``K``), and the homodyne outcome through the inverse normal CDF.
+``u >= P(count <= K)`` (the event that the inverse-CDF photocount exceeds
+``K``, exactly so for means up to ``-log(tiny) ~ 708.4``, where
+``poisson_cdf`` and ``poisson_inverse`` share one recurrence), and the
+homodyne outcome through the inverse normal CDF.
 Results therefore depend only on (seed, trial count, block size):
 identical ``TrialConfig``s give bit-identical results, and block error
 counts merge by integer addition in any order.
@@ -75,9 +77,10 @@ def poisson_inverse(u: np.ndarray, mu: np.ndarray, max_count: int = 2000) -> np.
     reads that off :func:`~phaserx.receivers.poisson_cdf`; this full sampler
     is the reference that decision is tested against.  Sequential search
     along :func:`~phaserx.receivers._poisson_cdfs`, the package's one
-    Poisson recurrence; exact for means up to ``-log(tiny) ~ 708.4``, and
-    not checked against that range.  ``max_count`` only guards against a
-    (probability ~2^-53) stall once the term recurrence has underflowed.
+    Poisson recurrence; exact, and equal to that decision, for means up to
+    ``-log(tiny) ~ 708.4``, and not checked against that range.
+    ``max_count`` only guards against a (probability ~2^-53) stall once the
+    term recurrence has underflowed.
     """
     k = np.zeros(u.shape, dtype=np.int64)
     for j, cdf in enumerate(_poisson_cdfs(mu)):
@@ -104,8 +107,6 @@ def simulate_perr(
     the quadrature decision point (a float, usually 0) for homodyne.
     ``orientation`` selects which bit value is decoded from the high side of
     the threshold (counts above K, or quadrature above the decision point).
-    The photon-counting decision reads ``poisson_cdf``, so a trial whose
-    mean count exceeds ``-log(tiny) ~ 708.4`` raises ``ValueError``.
     """
     if orientation not in (BIT1_HIGH, BIT0_HIGH):
         raise ValueError(f"unknown orientation {orientation!r}")

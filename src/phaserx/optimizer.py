@@ -95,11 +95,11 @@ class OptimizationResult:
 
     constellation: BinaryConstellation
     config: ReceiverConfig
+    # Decoded ``bit1_high`` (counts above K decode bit 1): the search
+    # reports every optimum as that twin.
     perr: float
     perr_sql: float
     perr_helstrom: float
-    # Always ``bit1_high``: the search reports every optimum as that twin.
-    orientation: str
     trace: tuple[tuple[int, float], ...] = field(repr=False)
     # The winning seed's gradient norm (see ``seeds``), and how many
     # refinement seeds stopped on ``MAX_REFINE_ROUNDS`` instead of
@@ -322,16 +322,10 @@ def _search(problem: OptimizationProblem) -> tuple:
     return tuple(seeds)
 
 
-def _pick(problem: OptimizationProblem, seeds: tuple,
-          like: OptimizationResult | None = None) -> OptimizationResult:
+def _pick(problem: OptimizationProblem, seeds: tuple) -> OptimizationResult:
     """The result at ``problem``'s ceiling: the best of the refined
-    ``seeds`` with ``k < pnr_ceiling`` under the tie-break, with its
-    baselines.
-
-    ``like``, a result of the same search at another ceiling, lends its
-    ``perr_sql``, and its ``perr_helstrom`` when the winner has its
-    constellation.
-    """
+    ``seeds`` with ``k < pnr_ceiling`` under the tie-break, with its own
+    ``perr_sql`` and ``perr_helstrom``."""
     candidates = tuple(s for s in seeds if s[0] < problem.pnr_ceiling)
     best_perr = min(s[3] for s in candidates)
     k, theta, beta, perr, trace, gradient_norm = min(
@@ -344,11 +338,8 @@ def _pick(problem: OptimizationProblem, seeds: tuple,
         constellation=constellation,
         config=ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=problem.pnr_ceiling),
         perr=perr,
-        perr_sql=(like.perr_sql if like
-                  else perr_sql_baseline(problem.nbar, problem.noise, problem.quad_tolerance)),
-        perr_helstrom=(like.perr_helstrom if like and like.constellation == constellation
-                       else perr_helstrom(constellation, problem.noise)),
-        orientation=BIT1_HIGH,
+        perr_sql=perr_sql_baseline(problem.nbar, problem.noise, problem.quad_tolerance),
+        perr_helstrom=perr_helstrom(constellation, problem.noise),
         trace=trace,
         gradient_norm=gradient_norm,
         capped_seeds=sum(s[4][-1][0] >= MAX_REFINE_ROUNDS for s in candidates),
@@ -360,7 +351,7 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     """Full deterministic search: exhaustive threshold scan, dense grid
     seeding, then damped Newton refinement of the best seeds of each
     threshold.  The winner is reported as its ``bit1_high`` twin, with the
-    error its refinement accepted, so ``(perr, orientation)`` equals
+    error its refinement accepted, so ``(perr, BIT1_HIGH)`` equals
     ``generalized_kennedy_detail`` at the reported configuration."""
     return _pick(problem, _search(problem))
 
@@ -371,7 +362,7 @@ def _sweep_cell(problem: OptimizationProblem,
     result of the same problem at a higher ceiling, picked among its
     seeds."""
     try:
-        result = optimize(problem) if top is None else _pick(problem, top.seeds, like=top)
+        result = optimize(problem) if top is None else _pick(problem, top.seeds)
         error = None
     except NUMERICAL_FAILURES:
         result, error = None, traceback.format_exc(limit=3)
@@ -387,9 +378,10 @@ def _sweep_row(problems: list[OptimizationProblem]) -> list[SweepCell]:
     Nothing in a threshold's grid slice, seeds or refinement depends on the
     ceiling, so the top result's ``seeds`` hold every refined seed that a
     lower ceiling's ``optimize`` would refine, in the same order, each with
-    its gradient norm; picking among them gives that ``optimize`` field for
-    field.  If the top search fails numerically, each lower ceiling runs
-    its own ``optimize``, so a cell fails exactly when its own search does.
+    its gradient norm; picking among them, with the cell's own baselines,
+    gives that ``optimize`` field for field.  If the top search fails
+    numerically, each lower ceiling runs its own ``optimize``, so a cell
+    fails exactly when its own search does.
     """
     *lower, highest = problems
     top = _sweep_cell(highest)

@@ -72,16 +72,15 @@ class QuadratureRule:
     """Discretization of the Gaussian phase average.
 
     ``sum(weights * f(nodes))`` approximates ``<f>_phi``.  The weights are
-    normalized to sum to 1 (the rule integrates constants exactly), and
-    ``order`` is the order of the Gauss-Hermite rule the nodes come from.
-    A rule from ``build_rule`` has ``order`` nodes; its folded rule
-    (``fold_even``) keeps only the nodes phi >= 0, about half of them, and
-    is exact for the same integrands as long as they are even in phi.
+    normalized to sum to 1 (the rule integrates constants exactly).  A rule
+    from ``build_rule(noise, order)`` has ``order`` nodes, one at sigma = 0;
+    its folded rule (``fold_even``) keeps only the nodes phi >= 0, about
+    half of them, and is exact for the same integrands as long as they are
+    even in phi.
     """
 
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    order: int
 
     def average(self, values: np.ndarray) -> float | np.ndarray:
         """Weighted sum of integrand samples taken at ``nodes``.
@@ -114,7 +113,7 @@ class QuadratureRule:
         half, centre = divmod(self.nodes.size, 2)
         weights = self.weights[half:].copy()
         weights[centre:] *= 2.0
-        return QuadratureRule(nodes=self.nodes[half:], weights=weights, order=self.order)
+        return QuadratureRule(nodes=self.nodes[half:], weights=weights)
 
 
 def check_tolerance(tolerance: float) -> None:
@@ -143,13 +142,9 @@ def build_rule(noise: PhaseNoise, order: int) -> QuadratureRule:
     """
     order = check_count("quadrature order", order, 1)
     if noise.sigma == 0.0:
-        return QuadratureRule(nodes=np.zeros(1), weights=np.ones(1), order=1)
+        return QuadratureRule(nodes=np.zeros(1), weights=np.ones(1))
     t, w = _hermite_base(order)
-    return QuadratureRule(
-        nodes=math.sqrt(2.0) * noise.sigma * t,
-        weights=w / _SQRT_PI,
-        order=order,
-    )
+    return QuadratureRule(nodes=math.sqrt(2.0) * noise.sigma * t, weights=w / _SQRT_PI)
 
 
 def average(noise: PhaseNoise, f, tolerance: float = 1e-10) -> float | np.ndarray:

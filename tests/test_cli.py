@@ -84,6 +84,18 @@ def test_sweep_nbar_csv(tmp_path):
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def test_sweep_nbar_at_large_photon_numbers(tmp_path):
+    """The Kennedy receiver's symbol mean 4*nbar passes -log(tiny) ~ 708.4
+    above nbar ~ 177; its error e^(-4*nbar)/2 then underflows to 0."""
+    out = tmp_path / "curves.csv"
+    argv = ["sweep-nbar", "--nbar-min", "100", "--nbar-max", "200", "--step", "100"]
+    assert main([*argv, "--output", str(out)]) == EXIT_OK
+    _, header, rows = read_csv(out)
+    kennedy = header.index("perr_kennedy")
+    assert [row[kennedy] for row in rows] == ["9.5758479836e-175", "0.0000000000e+00"]
+    assert all(len(row) == len(header) and all(row) for row in rows)
+
+
 def test_sweep_nbar_reruns_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["sweep-nbar", "--nbar-max", "2", "--step", "1.0", "--output"]
@@ -192,6 +204,7 @@ def test_optimize_report_and_trace(tmp_path, capsys):
     assert rc == EXIT_OK
     kv = parse_kv(capsys.readouterr().out)
     assert kv["threshold_k"] == "0"
+    assert kv["orientation"] == "bit1_high"
     assert float(kv["perr"]) < float(kv["perr_sql"])
     assert float(kv["perr_helstrom"]) <= float(kv["perr"])
     assert kv["sub_sql"] == "true"
@@ -279,14 +292,17 @@ NOT_IN_MANIFEST = {"subcommand", "func", "output", "jobs", "validate", "seed", "
 def test_manifest_records_every_number_changing_option(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
     flag = "--trace-output" if argv[0] == "optimize" else "--output"
-    argv = [*argv, "--tolerance", "1e-9", "--efficiency", "0.9", flag, str(out)]
+    # every average of sweep-nbar is at sigma 0: it has no tolerance to set
+    tolerance = None if argv[0] == "sweep-nbar" else "1e-09"
+    argv = [*argv, *(["--tolerance", "1e-9"] if tolerance else []),
+            "--efficiency", "0.9", flag, str(out)]
     assert main(argv) == EXIT_OK
     manifest, _, _ = read_csv(out)
     (line,) = [l for l in manifest if l.startswith("# parameters: ")]
     params = dict(kv.split("=", 1) for kv in line.removeprefix("# parameters: ").split())
     options = set(vars(build_parser().parse_args(argv))) - NOT_IN_MANIFEST
     assert options <= set(params)
-    assert params["tolerance"] == "1e-09"
+    assert params.get("tolerance") == tolerance
     assert params["efficiency"] == "0.9"
 
 
@@ -297,8 +313,10 @@ def test_usage_errors(capsys):
                  "--output", "-"]) == EXIT_USAGE
     assert main(["helstrom", "--nbar", "2", "--sigma", "0",
                  "--alpha0", "1.0"]) == EXIT_USAGE
-    # helstrom has no quadrature tolerance to set
+    # helstrom and sweep-nbar have no quadrature tolerance to set
     assert main(["helstrom", "--nbar", "2", "--sigma", "0.1",
+                 "--tolerance", "1e-9"]) == EXIT_USAGE
+    assert main(["sweep-nbar", "--nbar-max", "2", "--step", "1",
                  "--tolerance", "1e-9"]) == EXIT_USAGE
     for value in ("nan", "inf"):
         assert main(["sql", "--nbar", value, "--sigma", "0"]) == EXIT_USAGE

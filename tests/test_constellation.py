@@ -115,7 +115,7 @@ COUNT_INPUTS = [
     ("photocount_distribution.truncation",
      lambda n: photocount_distribution(1.0, 0.0, NOISE, n).probs.size - 1, 2),
     ("poisson_cdf.k", lambda n: poisson_cdf(n, 1.0) and n, 2),
-    ("build_rule.order", lambda n: build_rule(NOISE, n).order, 8),
+    ("build_rule.order", lambda n: build_rule(NOISE, n).nodes.size, 8),
     ("phase_diffused_state.dim", lambda n: phase_diffused_state(1.0, NOISE, n).dim, 40),
     ("perr_helstrom.dim", lambda n: perr_helstrom(make_bpsk(1.0), NOISE, n) and n, 40),
 ]

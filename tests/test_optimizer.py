@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import pdtr
 
 from phaserx.constellation import BinaryConstellation, parametrize
 from phaserx.optimizer import (
@@ -19,6 +20,7 @@ from phaserx.optimizer import (
 )
 from phaserx.phasenoise import PhaseNoise, build_rule
 from phaserx.receivers import (
+    BIT1_HIGH,
     ReceiverConfig,
     _poisson_cdfs,
     displaced_intensity,
@@ -83,10 +85,10 @@ def test_result_respects_power_constraint_and_sandwich():
     assert res.perr_helstrom <= res.perr + 1e-12
     assert 0.0 <= res.perr <= 0.5
     assert res.config.threshold_k < res.config.pnr_ceiling
-    # reported error and orientation are the adaptive evaluation at the
-    # reported configuration
+    # the reported error is the adaptive evaluation at the reported
+    # configuration, decoded bit1_high
     again = generalized_kennedy_detail(res.constellation, res.config, PhaseNoise(0.45))
-    assert again == (res.perr, res.orientation)
+    assert again == (res.perr, BIT1_HIGH)
 
 
 def test_optimize_is_deterministic():
@@ -388,6 +390,27 @@ def _grid_scan_full_rule(problem):
     return thetas, betas, 0.5 + 0.5 * gap
 
 
+@pytest.mark.parametrize("nbar, sigma, pnr", [
+    (25.0, 0.0, 8), (25.0, 0.2, 8), (40.0, 0.1, 4), (30.0, 0.3, 32),
+])
+def test_grid_scan_is_accurate_above_the_recurrence_limit(nbar, sigma, pnr):
+    """The grid's intensities reach about 32*nbar, past -log(tiny) ~ 708.4,
+    where the Poisson recurrence loses its relative precision; at counts
+    below the PNR ceiling its absolute error stays far below the rounding
+    of ``0.5 + 0.5*gap``, and the grid agrees to 1e-15 absolute with
+    ``pdtr`` on the same folded rule."""
+    problem = fast_problem(nbar, sigma, pnr, grid_resolution=31, beta_resolution=41)
+    rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
+    thetas, betas, perr = _grid_scan(problem, rule)
+    s = math.sqrt(2.0 * nbar)
+    alphas = np.stack([s * np.sin(thetas), s * np.cos(thetas)])[:, :, None]
+    mus = [displaced_intensity(alphas, betas, phi) for phi in rule.nodes]
+    assert max(mu.max() for mu in mus) > -math.log(np.finfo(float).tiny)
+    k = np.arange(pnr)[:, None, None]
+    gap = sum(w * (pdtr(k, mu1) - pdtr(k, mu0)) for w, (mu1, mu0) in zip(rule.weights, mus))
+    assert np.abs(perr - (0.5 + 0.5 * gap)).max() <= 1e-15
+
+
 def _select_seeds_argsort(perr, nseeds):
     """Reference seed set: the head of a stable argsort of each threshold."""
     flat = np.argsort(perr.reshape(perr.shape[0], -1), axis=1, kind="stable")
@@ -436,9 +459,8 @@ def test_optimizer_reports_the_bit1_high_twin(nbar, sigma, pnr):
     gives the same receiver decoded ``bit0_high``."""
     res = default_optimum(nbar, sigma, pnr)
     noise = PhaseNoise(sigma)
-    assert res.orientation == "bit1_high"
     assert generalized_kennedy_detail(res.constellation, res.config, noise) == (
-        res.perr, res.orientation)
+        res.perr, BIT1_HIGH)
     c = res.constellation
     swapped = BinaryConstellation(alpha0=c.alpha1, alpha1=c.alpha0)
     perr, orientation = generalized_kennedy_detail(swapped, res.config, noise)
@@ -456,7 +478,8 @@ def test_optimum_matches_a_30_digit_quadrature(nbar, sigma, pnr):
     both Poisson tails taken as regularized incomplete gamma functions."""
     mp = pytest.importorskip("mpmath").mp
     res = default_optimum(nbar, sigma, pnr)
-    assert res.orientation == "bit1_high"
+    assert generalized_kennedy_detail(
+        res.constellation, res.config, PhaseNoise(sigma))[1] == BIT1_HIGH
     k = res.config.threshold_k
     with mp.workdps(30):
         a1, a0, beta = (mp.mpf(float(x.real)) for x in (
