@@ -171,10 +171,10 @@ def _cmd_sweep_nbar(args) -> int:
 
 def _cmd_sweep_sigma(args) -> int:
     sigmas = _float_range(args.sigma_min, args.sigma_max, args.step)
-    pnr_list = sorted(set(args.pnr_list))
     nbar = args.efficiency * args.nbar
-    cells = sweep_sigma(nbar, [float(s) for s in sigmas], pnr_list, jobs=args.jobs,
-                        **_search_knobs(args))
+    cell_rows = sweep_sigma(nbar, [float(s) for s in sigmas], args.pnr_list,
+                            jobs=args.jobs, **_search_knobs(args))
+    pnr_list = [cell.pnr_ceiling for cell in cell_rows[0]]
 
     columns = (
         ["sigma", "perr_sql", "perr_helstrom_at_optimum", "perr_helstrom_independent"]
@@ -182,11 +182,8 @@ def _cmd_sweep_sigma(args) -> int:
         + ["alpha0", "alpha1", "beta", "threshold_k", "orientation"]
     )
     rows = []
-    for i, sigma in enumerate(sigmas):
+    for sigma, row_cells in zip(sigmas, cell_rows):
         _, hel_best = optimize_helstrom(nbar, PhaseNoise(float(sigma)))
-        # sweep_sigma returns the cells PNR-major, so sigma i's cells in
-        # ascending ceiling order are every len(sigmas)-th one from i.
-        row_cells = cells[i::len(sigmas)]
         for cell in row_cells:
             if cell.result is None:
                 print(f"warning: optimization failed at sigma={sigma}, "

@@ -36,7 +36,8 @@ HELSTROM_XTOL = 1e-6
 
 @dataclass(frozen=True)
 class FockDensityMatrix:
-    """Hermitian matrix of a state truncated to Fock levels ``0 .. dim-1``."""
+    """Hermitian matrix of a state truncated to Fock levels ``0 .. dim-1``;
+    its trace and purity are read off ``elements``."""
 
     dim: int
     elements: np.ndarray = field(repr=False)
@@ -50,13 +51,6 @@ class FockDensityMatrix:
             hermitian = np.all(np.abs(m - m.conj().T) <= 1e-12)
         if not hermitian:
             raise ValueError("matrix is not Hermitian within 1e-12")
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.elements)))
-
-    def purity(self) -> float:
-        """``tr(rho^2)``; 1 for a pure state up to truncation loss."""
-        return float(np.real(np.sum(self.elements * self.elements.conj().T)))
 
 
 def required_dim(peak_photon_number: float) -> int:

@@ -9,8 +9,10 @@ parameters and the optimum can be taken on the real axis; the test suite
 guards that restriction with an imaginary-perturbation check.
 
 The search is fully deterministic: a dense (theta, beta) grid per threshold
-value seeds a damped Newton refinement in (theta, beta), and ties are broken
-by smaller ``K``, then smaller ``|beta|``, then smaller ``theta``.
+value seeds a damped Newton refinement in (theta, beta).  Seeds whose
+errors lie within ``TIE_WINDOW`` of the best, relative to it, tie, and ties
+are broken by smaller ``K``, then smaller ``|beta|``, then smaller
+``theta``.
 
 Only the ``bit1_high`` decision rule is searched.  A receiver decoded
 ``bit0_high`` is its mirror twin decoded ``bit1_high``: swapping the bit
@@ -61,6 +63,7 @@ MAX_REFINE_ROUNDS = 60
 REFINE_TOLERANCE = 1e-8
 # Best grid cells refined per threshold.
 REFINE_SEEDS = 5
+# Relative error window within which refined seeds tie.
 TIE_WINDOW = 1e-12
 # Errors that mean an optimization failed numerically rather than was asked
 # for something invalid: a sweep records them per cell, the CLI exits 4.
@@ -325,11 +328,12 @@ def _search(problem: OptimizationProblem) -> tuple:
 def _pick(problem: OptimizationProblem, seeds: tuple) -> OptimizationResult:
     """The result at ``problem``'s ceiling: the best of the refined
     ``seeds`` with ``k < pnr_ceiling`` under the tie-break, with its own
-    ``perr_sql`` and ``perr_helstrom``."""
+    ``perr_sql`` and ``perr_helstrom``.  Seeds tie when their errors are
+    within ``TIE_WINDOW`` of the best, relative to it."""
     candidates = tuple(s for s in seeds if s[0] < problem.pnr_ceiling)
     best_perr = min(s[3] for s in candidates)
     k, theta, beta, perr, trace, gradient_norm = min(
-        (s for s in candidates if s[3] <= best_perr + TIE_WINDOW),
+        (s for s in candidates if s[3] <= best_perr * (1.0 + TIE_WINDOW)),
         key=lambda s: (s[0], abs(s[2]), s[1], s[2]),
     )
 
@@ -371,9 +375,9 @@ def _sweep_cell(problem: OptimizationProblem,
 
 
 def _sweep_row(problems: list[OptimizationProblem]) -> list[SweepCell]:
-    """The cells of one sigma, ``problems`` in ascending ceiling order: one
-    ``optimize`` at the highest ceiling, from which every lower ceiling is
-    read.
+    """One row of ``sweep_sigma``: the cells of one sigma, ``problems`` in
+    ascending ceiling order, from one ``optimize`` at the highest ceiling,
+    from which every lower ceiling is read.
 
     Nothing in a threshold's grid slice, seeds or refinement depends on the
     ceiling, so the top result's ``seeds`` hold every refined seed that a
@@ -394,9 +398,10 @@ def sweep_sigma(
     pnr_list: list[int],
     jobs: int = 1,
     **knobs,
-) -> list[SweepCell]:
-    """The optimized receiver at every (PNR ceiling, sigma) pair, returned
-    in that row order, ``pnr_list`` as given (duplicates repeat their cells).
+) -> list[list[SweepCell]]:
+    """The optimized receiver at every (sigma, PNR ceiling) pair: one row
+    per sigma, in the order given, each holding one cell per distinct
+    ceiling of ``pnr_list``, in ascending order.
 
     One search per sigma serves every ceiling: ``optimize`` runs once, at
     the highest ceiling, and each lower ceiling's cell is read off its
@@ -405,9 +410,9 @@ def sweep_sigma(
     runs: an invalid input raises ``ValueError`` for the whole sweep.  A
     cell whose optimization fails numerically (``NUMERICAL_FAILURES``) is
     recorded with its error instead of aborting the sweep; any other error
-    propagates.  ``jobs > 1`` dispatches the sigmas' rows to a process
-    pool; the output order is the grid order either way, so parallel and
-    serial runs agree bit for bit.
+    propagates.  ``jobs > 1`` dispatches the rows to a process pool; the
+    rows come back in sigma order either way, so parallel and serial runs
+    agree bit for bit.
     """
     if not sigmas or not pnr_list:
         raise ValueError("sigmas and pnr_list must be non-empty")
@@ -418,7 +423,5 @@ def sweep_sigma(
             for sigma in sigmas]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(_sweep_row, rows))
-    else:
-        done = [_sweep_row(row) for row in rows]
-    return [row[ceilings.index(pnr)] for pnr in pnr_list for row in done]
+            return list(pool.map(_sweep_row, rows))
+    return [_sweep_row(row) for row in rows]

@@ -50,7 +50,7 @@ def report(cid: str, ok: bool, detail: str) -> None:
 @functools.lru_cache(maxsize=1)
 def sigma_sweep():
     """Default-knob optimizer sweep shared by the curve-level criteria."""
-    cells = sweep_sigma(NBAR, SWEEP_SIGMAS, SWEEP_PNRS)
+    cells = [cell for row in sweep_sigma(NBAR, SWEEP_SIGMAS, SWEEP_PNRS) for cell in row]
     for cell in cells:
         assert cell.error is None, cell.error
     return {(c.pnr_ceiling, c.sigma): c.result for c in cells}
@@ -166,7 +166,7 @@ def test_criterion_6_structural_invariants():
     rho = phase_diffused_state(1.3 - 0.6j, PhaseNoise(0.45))
     if not np.allclose(rho.elements, rho.elements.conj().T, atol=1e-12):
         problems.append("hermiticity")
-    if abs(rho.trace() - 1.0) > 1e-12:
+    if abs(np.trace(rho.elements).real - 1.0) > 1e-12:
         problems.append("unit trace")
     if np.linalg.eigvalsh(rho.elements).min() < -1e-12:
         problems.append("positive semidefiniteness")

@@ -108,7 +108,7 @@ COUNT_INPUTS = [
     ("OptimizationProblem.beta_resolution",
      lambda n: OptimizationProblem(nbar=2.0, noise=NOISE, pnr_ceiling=1,
                                    beta_resolution=n).beta_resolution, 31),
-    ("sweep_sigma.pnr_list", lambda n: sweep_sigma(2.0, [0.1], [n])[0].pnr_ceiling, 2),
+    ("sweep_sigma.pnr_list", lambda n: sweep_sigma(2.0, [0.1], [n])[0][0].pnr_ceiling, 2),
     ("sweep_sigma.jobs", lambda n: sweep_sigma(2.0, [0.1], [1], jobs=n) and n, 1),
     ("TrialConfig.trials", lambda n: TrialConfig(trials=n, seed=1).trials, 10),
     ("TrialConfig.seed", lambda n: TrialConfig(trials=10, seed=n).seed, 1),

@@ -1,7 +1,9 @@
-"""Source hygiene checks, made by reading the source with ``ast``."""
+"""Source hygiene checks, made by reading the source with ``ast``, and a run
+of the README's library example."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -128,3 +130,13 @@ def test_bench_hooked_names_exist():
             missing.append(f"phaserx.{entry}")
     assert not missing, "bench/tracing.py hooks names the package lacks:\n" + "\n".join(missing)
 
+
+def test_readme_library_example_runs():
+    # The README's python block, executed as written: its simulation of the
+    # optimized receiver agrees with the reported optimum.
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    est, se, result = namespace["est"], namespace["se"], namespace["result"]
+    assert abs(est - result.perr) <= 4.0 * se, (est, se, result.perr)

@@ -10,10 +10,12 @@ from phaserx.optimizer import (
     GRID_QUAD_ORDER,
     MAX_REFINE_ROUNDS,
     REFINE_SEEDS,
+    TIE_WINDOW,
     OptimizationProblem,
     _derivatives,
     _grid_scan,
     _newton_step,
+    _pick,
     _select_seeds,
     optimize,
     sweep_sigma,
@@ -124,15 +126,16 @@ def test_trace_is_monotone_audit():
 
 
 def test_sweep_grid_order_and_pnr_nesting():
-    """Cells come PNR-major, and perr never rises with the PNR ceiling: a
-    higher ceiling refines a superset of the seeds, so this holds exactly."""
+    """One row per sigma, in the given order, each in ascending ceiling
+    order, and perr never rises with the PNR ceiling: a higher ceiling
+    refines a superset of the seeds, so this holds exactly."""
     sigmas, pnrs = [0.0, 0.15, 0.3, 0.45, 0.6], [1, 2, 3, 8]
-    cells = sweep_sigma(2.0, sigmas, pnrs, **FAST)
-    assert [(c.pnr_ceiling, c.sigma) for c in cells] == [(p, s) for p in pnrs for s in sigmas]
-    assert all(c.error is None and c.result is not None for c in cells)
-    by = {(c.pnr_ceiling, c.sigma): c.result.perr for c in cells}
-    for sigma in sigmas:
-        perrs = [by[(p, sigma)] for p in pnrs]
+    rows = sweep_sigma(2.0, sigmas, pnrs, **FAST)
+    assert [[(c.pnr_ceiling, c.sigma) for c in row] for row in rows] == [
+        [(p, s) for p in pnrs] for s in sigmas]
+    assert all(c.error is None and c.result is not None for row in rows for c in row)
+    for sigma, row in zip(sigmas, rows):
+        perrs = [c.result.perr for c in row]
         assert all(a >= b for a, b in zip(perrs, perrs[1:])), (sigma, perrs)
 
 
@@ -142,7 +145,7 @@ def test_parallel_sweep_matches_serial():
     sigmas, pnrs = [0.0, 0.15, 0.3, 0.45], [1, 3, 8]
     serial = sweep_sigma(2.0, sigmas, pnrs, **FAST)
     parallel = sweep_sigma(2.0, sigmas, pnrs, jobs=2, **FAST)
-    assert all(c.error is None for c in parallel)
+    assert all(c.error is None for row in parallel for c in row)
     assert parallel == serial
 
 
@@ -153,30 +156,32 @@ def test_sweep_cells_equal_their_own_optimize():
     sigmas, pnrs = [0.0, 0.2, 0.45], [1, 2, 3, 4, 8]
     moved = 0
     for nbar in (0.5, 1.0, 2.0, 3.0):
-        cells = sweep_sigma(nbar, sigmas, pnrs, **FAST)
-        assert [(c.pnr_ceiling, c.sigma) for c in cells] == [(p, s) for p in pnrs for s in sigmas]
-        top = {c.sigma: c.result for c in cells if c.pnr_ceiling == pnrs[-1]}
-        for cell in cells:
-            assert cell.error is None
-            assert cell.result == optimize(fast_problem(nbar, cell.sigma, cell.pnr_ceiling))
-            moved += cell.result.constellation != top[cell.sigma].constellation
+        rows = sweep_sigma(nbar, sigmas, pnrs, **FAST)
+        assert [[(c.pnr_ceiling, c.sigma) for c in row] for row in rows] == [
+            [(p, s) for p in pnrs] for s in sigmas]
+        for row in rows:
+            top = row[-1].result
+            for cell in row:
+                assert cell.error is None
+                assert cell.result == optimize(fast_problem(nbar, cell.sigma, cell.pnr_ceiling))
+                moved += cell.result.constellation != top.constellation
     # lower ceilings do not all repeat the top ceiling's winner
     assert moved > 0
 
 
-def test_sweep_keeps_the_callers_ceiling_order_and_duplicates():
+def test_sweep_rows_hold_each_distinct_ceiling_once_in_ascending_order():
     sigmas = [0.1, 0.3]
-    cells = sweep_sigma(1.5, sigmas, [8, 1, 8], **FAST)
-    assert [(c.pnr_ceiling, c.sigma) for c in cells] == [(p, s) for p in (8, 1, 8) for s in sigmas]
-    ascending = sweep_sigma(1.5, sigmas, [1, 8], **FAST)
-    assert cells == ascending[2:] + ascending[:2] + ascending[2:]
+    rows = sweep_sigma(1.5, sigmas, [8, 1, 8], **FAST)
+    assert rows == sweep_sigma(1.5, sigmas, [1, 8], **FAST)
+    assert [[(c.pnr_ceiling, c.sigma) for c in row] for row in rows] == [
+        [(1, s), (8, s)] for s in sigmas]
 
 
 def test_sweep_fails_only_the_ceilings_that_fail_on_their_own():
     # At nbar 2, sigma 1.2 the PNR-8 search meets a phase average that does
     # not converge, while the PNR-1 and PNR-2 searches do not: their cells
     # are still filled, each by its own search.
-    low1, low2, top = sweep_sigma(2.0, [1.2], [1, 2, 8], **FAST)
+    [[low1, low2, top]] = sweep_sigma(2.0, [1.2], [1, 2, 8], **FAST)
     assert top.result is None
     assert "ConvergenceError" in top.error
     for cell in (low1, low2):
@@ -186,10 +191,35 @@ def test_sweep_fails_only_the_ceilings_that_fail_on_their_own():
 
 def test_sweep_records_failures_per_cell():
     # sigma = 40 is far beyond the quadrature order cap; sigma = 0.1 is not.
-    filled, failed = sweep_sigma(2.0, [0.1, 40.0], [1], **FAST)
+    [filled], [failed] = sweep_sigma(2.0, [0.1, 40.0], [1], **FAST)
     assert filled.error is None and filled.result is not None
     assert failed.result is None
     assert "ConvergenceError" in failed.error
+
+
+def test_bright_optimum_reports_its_best_seed():
+    """Below 1e-12 an absolute tie window tied every seed, and the smaller-K
+    tie-break then reported a seed up to 30 times worse than the best.  The
+    K = 3 seeds agree to a few ulps, so the winner ties with the best
+    rather than equals it."""
+    result = optimize(fast_problem(10.0, 0.005, 4))
+    assert result.config.threshold_k == 3
+    assert result.perr <= min(s[3] for s in result.seeds) * (1.0 + TIE_WINDOW)
+
+
+def test_pick_ties_seeds_within_the_relative_window():
+    problem = fast_problem(2.0, 0.1, 2)
+
+    def picked_k(perr0, perr1):
+        seeds = tuple((k, 0.8, 0.5, perr, ((0, perr),), 0.0)
+                      for k, perr in ((0, perr0), (1, perr1)))
+        return _pick(problem, seeds).config.threshold_k
+
+    # a tie goes to the smaller K, at any scale of the error
+    assert picked_k(0.25 * (1.0 + 1e-13), 0.25) == 0
+    assert picked_k(1e-14 * (1.0 + 1e-13), 1e-14) == 0
+    # a gap above the window is not a tie, however small in absolute terms
+    assert picked_k(1e-14 * (1.0 + 1e-11), 1e-14) == 1
 
 
 def test_sweep_validation(monkeypatch):
