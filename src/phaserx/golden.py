@@ -8,41 +8,27 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi = 0.618...
 
 
 def golden_minimize(f, a: float, b: float, xtol: float = 1e-8) -> tuple[float, float]:
-    """Minimize ``f`` on ``[a, b]`` to a bracket width of ``xtol``.
+    """Minimize ``f`` on the bracket between ``a`` and ``b``, given in either
+    order, to a bracket width of ``xtol``.
 
-    Returns ``(x, f(x))`` for the best point actually evaluated, endpoints
-    included, so the result never exceeds ``f`` at any probed location.
-    Assumes ``f`` is unimodal on the bracket; on multimodal input it still
-    returns the best evaluated point, just without a global guarantee.
+    ``record`` keeps every evaluated point in evaluation order (``a``, ``b``,
+    then the interior points); the result is its least entry ``(x, f(x))``,
+    the earliest on a tie.  Assumes ``f`` is unimodal on the bracket; on
+    multimodal input it is still the best evaluated point.
     """
     if xtol <= 0.0:
         raise ValueError(f"xtol must be > 0, got {xtol}")
-    if b < a:
-        a, b = b, a
-
-    best_x, best_f = a, f(a)
-    fb = f(b)
-    if fb < best_f:
-        best_x, best_f = b, fb
-
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = f(c)
-    fd = f(d)
-    for x, fx in ((c, fc), (d, fd)):
-        if fx < best_f:
-            best_x, best_f = x, fx
+    record = {x: f(x) for x in (a, b, c, d)}
+    fc, fd = record[c], record[d]
     while abs(b - a) > xtol:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = f(c)
+            record[c] = fc = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = f(d)
-        if fc < best_f:
-            best_x, best_f = c, fc
-        if fd < best_f:
-            best_x, best_f = d, fd
-    return best_x, best_f
+            record[d] = fd = f(d)
+    return min(record.items(), key=lambda item: item[1])

@@ -146,9 +146,6 @@ def optimize_helstrom(nbar: float, noise: PhaseNoise) -> tuple[BinaryConstellati
     values = [objective(t) for t in thetas]
     i = int(np.argmin(values))
     step = thetas[1] - thetas[0]
-    theta, perr = golden_minimize(
-        objective, thetas[i] - step, thetas[i] + step, xtol=HELSTROM_XTOL
-    )
-    if values[i] < perr:
-        theta, perr = thetas[i], values[i]
+    refined = golden_minimize(objective, thetas[i] - step, thetas[i] + step, xtol=HELSTROM_XTOL)
+    theta, perr = min(refined, (thetas[i], values[i]), key=lambda point: point[1])
     return parametrize(theta, nbar), perr

@@ -17,9 +17,10 @@ random numbers: as easy as 1, 2, 3", SC'11).  Per trial the uniform triple
 outcome is produced by inversion of its uniform: the bit as ``u < 1/2``,
 the phase through the inverse normal CDF, the photon-counting decision as
 ``u >= P(count <= K)`` (the event that the inverse-CDF photocount exceeds
-``K``, exactly so for means up to ``-log(tiny) ~ 708.4``, where
-``poisson_cdf`` and ``poisson_inverse`` share one recurrence), and the
-homodyne outcome through the inverse normal CDF.
+``K``: ``poisson_cdf`` and ``poisson_inverse`` share one recurrence for
+means up to ``-log(tiny) ~ 708.4``, and above it ``poisson_cdf`` takes
+``pdtr`` while ``poisson_inverse`` raises), and the homodyne outcome
+through the inverse normal CDF.
 Results therefore depend only on (seed, trial count, block size):
 identical ``TrialConfig``s give bit-identical results, and block error
 counts merge by integer addition in any order.
@@ -38,6 +39,7 @@ from .phasenoise import PhaseNoise
 from .receivers import (
     BIT0_HIGH,
     BIT1_HIGH,
+    _RECURRENCE_LIMIT,
     ReceiverConfig,
     _poisson_cdfs,
     displaced_intensity,
@@ -78,10 +80,14 @@ def poisson_inverse(u: np.ndarray, mu: np.ndarray, max_count: int = 2000) -> np.
     is the reference that decision is tested against.  Sequential search
     along :func:`~phaserx.receivers._poisson_cdfs`, the package's one
     Poisson recurrence; exact, and equal to that decision, for means up to
-    ``-log(tiny) ~ 708.4``, and not checked against that range.
+    ``-log(tiny) ~ 708.4``.  A larger mean raises ``ValueError``: there
+    ``poisson_cdf`` takes ``pdtr``, which the recurrence does not match.
     ``max_count`` only guards against a (probability ~2^-53) stall once the
     term recurrence has underflowed.
     """
+    if np.any(mu > _RECURRENCE_LIMIT):
+        raise ValueError(f"Poisson mean {np.max(mu)} is above the recurrence "
+                         f"limit {_RECURRENCE_LIMIT:.4f} of poisson_inverse")
     k = np.zeros(u.shape, dtype=np.int64)
     for j, cdf in enumerate(_poisson_cdfs(mu)):
         pending = u >= cdf

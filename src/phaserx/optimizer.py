@@ -36,6 +36,7 @@ probability at a point comes only from the adaptive
 from __future__ import annotations
 
 import math
+import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -224,12 +225,14 @@ def _newton_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.ndarra
     2nd ed., section 3.4).
 
     Each gradient component along an eigenvector of ``hess`` is divided by
-    the magnitude of its eigenvalue, so for a nonsingular ``hess`` the step
-    is a descent direction, and the plain Newton step where ``hess`` is
-    positive definite.
+    the magnitude of its eigenvalue, floored at the smallest normal double,
+    so a nonzero gradient gives a descent direction, and the plain Newton
+    step where ``hess`` is positive definite.  Along a zero curvature the
+    component is huge but finite (for gradient components below about 4),
+    and the cap shortens the step to ``radius``.
     """
     lam, vecs = np.linalg.eigh(hess)
-    step = -vecs @ ((vecs.T @ grad) / np.abs(lam))
+    step = -vecs @ ((vecs.T @ grad) / np.maximum(np.abs(lam), sys.float_info.min))
     length = math.hypot(*step)
     return step if length <= radius else step * (radius / length)
 

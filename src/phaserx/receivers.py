@@ -24,6 +24,9 @@ from .phasenoise import PhaseNoise, average
 # the threshold K.
 BIT1_HIGH = "bit1_high"
 BIT0_HIGH = "bit0_high"
+# The largest mean the Poisson recurrence takes: -log(tiny) ~ 708.4, tiny
+# being the smallest normal double, so that exp(-mu) is a normal double too.
+_RECURRENCE_LIMIT = -math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -89,16 +92,16 @@ def _poisson_cdfs(mu):
 
     The package's one Poisson recurrence: all-positive terms
     ``exp(-mu) * mu**j / j!`` summed in order.  It is accurate to about
-    1e-15 relative for means up to ``-log(tiny) ~ 708.4``, where
+    1e-15 relative for means up to ``_RECURRENCE_LIMIT``, where
     ``exp(-mu)`` is still a normal double.  Above that it loses relative
     precision (and reads 0 from about 745 up, where ``exp(-mu)``
     underflows), but its absolute error stays negligible while the count is
     well below the mean: below 1e-190 against ``scipy.special.pdtr`` for
     counts up to 100 at means 700 to 1200, and first visible from counts
     near 400 (3.8e-2 at count 700, mean 745).  ``poisson_cdf`` takes
-    ``pdtr`` above the limit; the grid scan, whose ``0.5 + 0.5*gap`` rounds
-    to ~1e-16 absolute anyway, and the reference sampler ``poisson_inverse``
-    use the recurrence directly.
+    ``pdtr`` above the limit and the reference sampler ``poisson_inverse``
+    refuses such means; the grid scan, whose ``0.5 + 0.5*gap`` rounds to
+    ~1e-16 absolute anyway, uses the recurrence at every mean.
     """
     term = np.exp(-mu)
     cdf = term
@@ -114,15 +117,13 @@ def _poisson_cdfs(mu):
 def poisson_cdf(k: int, mu: np.ndarray) -> np.ndarray:
     """Poisson ``P(count <= k)`` for every finite mean.
 
-    Means up to ``-log(tiny) ~ 708.4``, ``tiny`` being the smallest normal
-    double, so that ``exp(-mu)`` is a normal double too, take the stable
-    all-positive term recurrence, accurate to about 1e-15 relative.  Larger
-    means take ``scipy.special.pdtr`` instead, so the recurrence never sees
-    them.
+    Means up to ``_RECURRENCE_LIMIT`` take the stable all-positive term
+    recurrence, accurate to about 1e-15 relative.  Larger means take
+    ``scipy.special.pdtr`` instead, so the recurrence never sees them.
     """
     k = check_count("k", k, 0)
     mu = np.asarray(mu, dtype=float)
-    large = mu > -math.log(sys.float_info.min)
+    large = mu > _RECURRENCE_LIMIT
     if large.any():
         return np.where(large, pdtr(k, mu), poisson_cdf(k, np.where(large, 0.0, mu)))
     return next(islice(_poisson_cdfs(mu), k, None))

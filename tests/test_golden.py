@@ -21,6 +21,18 @@ def test_boundary_minimum():
 def test_swapped_bracket():
     x, _ = golden_minimize(lambda t: (t + 0.5) ** 2, 2.0, -2.0, xtol=1e-9)
     assert x == pytest.approx(-0.5, abs=1e-7)
+    # either order probes the same two interior points first, and ends on
+    # the same point after as many evaluations
+    runs = []
+    for a, b in ((0.0, 2.0), (2.0, 0.0)):
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return math.cos(3.0 * t)
+
+        runs.append((golden_minimize(f, a, b, xtol=1e-8), set(seen[2:4]), len(seen)))
+    assert runs[0] == runs[1]
 
 
 def test_result_is_best_evaluated_point():
@@ -31,9 +43,24 @@ def test_result_is_best_evaluated_point():
         return math.cos(3.0 * t)
 
     x, fx = golden_minimize(f, 0.0, 2.0, xtol=1e-8)
-    best = min(seen, key=lambda t: math.cos(3.0 * t))
-    assert fx <= math.cos(3.0 * best) + 1e-18
+    assert fx == min(math.cos(3.0 * t) for t in seen)
     assert fx == math.cos(3.0 * x)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 2.0), (2.0, 0.0)])
+def test_ties_go_to_the_earliest_evaluated_point(a, b):
+    """On a flat bottom many evaluated points tie; the result is the first
+    of them that ``f`` was called at, and its value is the least returned."""
+    calls = []
+
+    def f(t):
+        calls.append((t, max(abs(t - 1.0), 0.25)))
+        return calls[-1][1]
+
+    x, fx = golden_minimize(f, a, b, xtol=1e-8)
+    least = min(v for _, v in calls)
+    assert sum(v == least for _, v in calls) > 1
+    assert (x, fx) == next(call for call in calls if call[1] == least)
 
 
 def test_xtol_validation():

@@ -137,6 +137,18 @@ def test_noiseless_matches_pure_state_closed_form():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.xfail(reason="(1 - trace_distance)/2 carries ~1e-15 of absolute "
+                   "rounding, so a small value loses its relative precision "
+                   "(ROADMAP item 7)")
+@pytest.mark.parametrize("nbar", [5.0, 8.0, 10.0])
+def test_noiseless_value_has_relative_precision(nbar):
+    """Tripwire for item 7: today the relative errors are -1.15e-6, -0.334
+    and -1 (the value reads exactly 0 at nbar 10)."""
+    want = perr_helstrom_noiseless(make_bpsk(nbar))
+    got = perr_helstrom(make_bpsk(nbar), NOISELESS)
+    assert abs(got - want) <= 1e-9 * want
+
+
 def test_truncation_is_converged():
     c = make_bpsk(2.0)
     noise = PhaseNoise(0.45)

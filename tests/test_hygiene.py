@@ -1,10 +1,13 @@
-"""Source hygiene checks, made by reading the source with ``ast``, and a run
-of the README's library example."""
+"""Source hygiene checks, made by reading the source with ``ast``, and runs
+of the README's library example and CLI transcript."""
 
 import ast
 import importlib
 import re
+import shlex
 from pathlib import Path
+
+from phaserx.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -140,3 +143,12 @@ def test_readme_library_example_runs():
     exec(compile(block, "README.md", "exec"), namespace)
     est, se, result = namespace["est"], namespace["se"], namespace["result"]
     assert abs(est - result.perr) <= 4.0 * se, (est, se, result.perr)
+
+
+def test_readme_cli_transcript_matches(capsys):
+    # The README's one shell transcript, run through the CLI as written: it
+    # prints the same output, line for line.
+    readme = (ROOT / "README.md").read_text()
+    [(command, expected)] = re.findall(r"```\n\$ phaserx (.*?)\n(.*?)```", readme, flags=re.S)
+    assert main(shlex.split(command)) == 0
+    assert capsys.readouterr().out.splitlines() == expected.splitlines()

@@ -17,6 +17,7 @@ from phaserx.montecarlo import (
 from phaserx.phasenoise import PhaseNoise
 from phaserx.receivers import (
     BIT0_HIGH,
+    _RECURRENCE_LIMIT,
     ReceiverConfig,
     generalized_kennedy_detail,
     perr_bpsk_hom,
@@ -61,14 +62,26 @@ def test_poisson_inverse_heterogeneous_means():
 
 
 def test_poisson_inverse_stops_at_max_count():
-    """Counts are capped at ``max_count``, which also ends the search for a
-    mean whose ``exp(-mu)`` has underflowed (the last one here); the other
-    means put quantiles at and just above each cap."""
-    mu = np.append(np.linspace(0.25, 60.0, 240), 800.0)
+    """Counts are capped at ``max_count``; the means put quantiles at and
+    just above each cap."""
+    mu = np.linspace(0.25, 60.0, 240)
     u = np.full(mu.shape, 0.4)
     for max_count in (0, 3, 50):
         want = np.minimum(poisson.ppf(u, mu), max_count).astype(np.int64)
         assert np.array_equal(poisson_inverse(u, mu, max_count), want)
+
+
+def test_poisson_inverse_refuses_means_above_the_recurrence_limit():
+    """Above ``-log(tiny)`` ``poisson_cdf`` takes ``pdtr``, which the
+    recurrence does not match, so the sampler raises instead of disagreeing
+    with the threshold decision; at the limit itself it still samples."""
+    u = np.full(2, 0.5)
+    at_limit = np.array([1.0, _RECURRENCE_LIMIT])
+    counts = poisson_inverse(u, at_limit)
+    assert np.array_equal(counts > 700, u >= poisson_cdf(700, at_limit))
+    for mu in (np.nextafter(_RECURRENCE_LIMIT, math.inf), 800.0, 1200.0):
+        with pytest.raises(ValueError, match=f"Poisson mean {mu} is above"):
+            poisson_inverse(u, np.array([1.0, mu]))
 
 
 def test_threshold_decision_matches_inverse_cdf_sampling():

@@ -333,6 +333,21 @@ def test_newton_step_is_a_capped_descent_step():
     assert newton_steps >= 3
     p = _newton_step(np.zeros(2), np.diag([-1.0, 3.0]), 1.0)
     assert np.all(np.isfinite(p))
+    # a zero curvature: the component along it goes to the cap, not to nan
+    for g in (np.array([1e-17, 1.0]), np.array([0.0, 1.0])):
+        for radius in (1e-3, 0.5, 1.0):
+            p = _newton_step(g, np.diag([0.0, 3.0]), radius)
+            assert np.all(np.isfinite(p))
+            assert math.hypot(*p) <= radius * (1.0 + 1e-15)
+            assert g @ p < 0.0
+
+
+def test_zero_curvature_does_not_end_a_seed():
+    """Here one seed meets a Hessian eigenvalue of exactly 0; its step must
+    stay finite, so the run raises no divide-by-zero or invalid-value
+    warning (the suite turns either into an error)."""
+    res = optimize(fast_problem(12.0, 0.0, 1))
+    assert res.perr > 0.0
 
 
 @pytest.mark.parametrize("sigma, coordinate_search_perr", [
