@@ -11,8 +11,8 @@ phase average in closed form.  Data rows are plain comma-separated values
 with at least 10 significant digits, and re-running a command with the
 same flags reproduces them byte for byte.
 
-Exit codes: 0 success, 2 usage error (a size too large to allocate is
-one), 3 I/O error, 4 numerical failure.
+Exit codes: 0 success, 2 usage error (a size too large to allocate, or a
+magnitude too large to represent, is one), 3 I/O error, 4 numerical failure.
 An output path that cannot be written fails with 3 before any work is done.
 """
 
@@ -429,6 +429,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except MemoryError as exc:
         print(f"usage error: too many to allocate: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:
+        print(f"usage error: too large to represent: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

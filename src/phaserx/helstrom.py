@@ -1,9 +1,9 @@
 """Quantum-optimal discrimination of phase-diffused coherent states.
 
-A coherent state sent through the Gaussian phase-noise channel becomes a
-mixed state whose Fock-basis matrix elements are those of the pure state
-damped by ``exp(-(m - n)**2 * sigma**2 / 2)``, the closed form of the
-Gaussian average ``<exp(i*(m - n)*phi)>_phi``.  The minimum achievable
+A coherent state sent through the phase-noise channel becomes a mixed
+state whose Fock-basis matrix elements are those of the pure state damped
+by ``<exp(i*(m - n)*phi)>_phi``, the phase law's characteristic function
+``noise.characteristic(m - n)``.  The minimum achievable
 error probability for two such states is half of one minus half the trace
 norm of their difference; at ``sigma = 0`` it reduces to the pure-state
 closed form in :func:`phaserx.receivers.perr_helstrom_noiseless`.
@@ -74,7 +74,8 @@ def phase_diffused_state(
     ``rho = (a a^dagger) * G`` elementwise, with the pure-state amplitudes
     ``a[m] = <m|alpha> = sqrt(p_m(|alpha|^2)) * exp(i*m*arg(alpha))``, where
     ``p_m`` is the Poisson pmf (log space, so large ``m`` cannot overflow),
-    and the dephasing kernel ``G[m, n] = exp(-(m - n)^2 * sigma^2 / 2)``.
+    and the dephasing kernel ``G[m, n] = noise.characteristic(m - n)``, the
+    phase average of ``exp(i*(m - n)*phi)``.
     A real ``alpha`` gives a real, exactly symmetric matrix.  ``dim``
     defaults to ``required_dim(|alpha|^2)``; passing a smaller value raises
     with the required size in the message.
@@ -94,8 +95,7 @@ def phase_diffused_state(
     if alpha.imag == 0.0:
         # cos(pi*m) rounds to exactly +-1, so a real alpha stays real
         amp = amp.real
-    diff = m[:, None] - m[None, :]
-    elements = np.outer(amp, amp.conj()) * np.exp(-0.5 * (noise.sigma * diff) ** 2)
+    elements = np.outer(amp, amp.conj()) * noise.characteristic(m[:, None] - m[None, :])
     return FockDensityMatrix(dim=dim, elements=elements)
 
 

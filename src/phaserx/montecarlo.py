@@ -1,9 +1,9 @@
 """Sampling oracle for every analytic error probability in the package.
 
-Simulates transmission symbol by symbol: a uniform bit choice, a Gaussian
-phase kick, then either a Poisson photocount compared against the threshold
-(displaced photon-counting receiver) or a Gaussian quadrature outcome
-compared against a decision point (homodyne).
+Simulates transmission symbol by symbol: a uniform bit choice, a phase kick
+drawn from the noise law, then either a Poisson photocount compared against
+the threshold (displaced photon-counting receiver) or a Gaussian quadrature
+outcome compared against a decision point (homodyne).
 
 Determinism contract
 --------------------
@@ -15,7 +15,7 @@ so no two (seed, block) pairs share a stream (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC'11).  Per trial the uniform triple
 ``(u_bit, u_phase, u_outcome)`` is consumed in row-major order.  Every
 outcome is produced by inversion of its uniform: the bit as ``u < 1/2``,
-the phase through the inverse normal CDF, the photon-counting decision as
+the phase through ``noise.quantile``, the photon-counting decision as
 ``u >= P(count <= K)`` (the event that the inverse-CDF photocount exceeds
 ``K``: ``poisson_cdf`` and ``poisson_inverse`` share one recurrence for
 means up to ``-log(tiny) ~ 708.4``, and above it ``poisson_cdf`` takes
@@ -110,9 +110,12 @@ def simulate_perr(
     """Empirical error rate and its binomial standard error.
 
     ``cfg`` is the receiver configuration for the photon-counting scheme, or
-    the quadrature decision point (a float, usually 0) for homodyne.
-    ``orientation`` selects which bit value is decoded from the high side of
-    the threshold (counts above K, or quadrature above the decision point).
+    the quadrature decision point (a float, usually 0, not nan; +-inf are
+    valid) for homodyne.  ``orientation`` selects which bit value is decoded
+    from the high side of the threshold (counts above K, or quadrature above
+    the decision point).  Each block counts the errors of the ``bit1_high``
+    rule; ``bit0_high`` flips every decision, so its block count is the
+    block's trials less that count.
     """
     if orientation not in (BIT1_HIGH, BIT0_HIGH):
         raise ValueError(f"unknown orientation {orientation!r}")
@@ -121,13 +124,16 @@ def simulate_perr(
             raise TypeError("the photon-counting scheme needs a ReceiverConfig")
     else:
         cfg = float(cfg)
+        if math.isnan(cfg):
+            raise ValueError("the homodyne decision point must not be nan")
 
     errors = 0
     done = 0
     block = 0
     while done < t.trials:
         n = min(BLOCK_SIZE, t.trials - done)
-        errors += _run_block(c, cfg, noise, t.seed + (block << 64), n, t.scheme, orientation)
+        found = _run_block(c, cfg, noise, t.seed + (block << 64), n, t.scheme)
+        errors += found if orientation == BIT1_HIGH else n - found
         done += n
         block += 1
 
@@ -136,11 +142,14 @@ def simulate_perr(
     return estimate, std_error
 
 
-def _run_block(c, cfg, noise, key, n, scheme, orientation) -> int:
+def _run_block(c, cfg, noise, key, n, scheme) -> int:
+    """Errors of the ``bit1_high`` rule over the ``n`` trials of the block
+    keyed ``key``: a trial errs when its outcome lands high and bit 0 was
+    sent, or not high and bit 1 was."""
     rng = np.random.Generator(np.random.Philox(key=key))
     u = rng.random((n, 3))
     bits = u[:, 0] < 0.5
-    phases = noise.sigma * ndtri(np.clip(u[:, 1], _U_EPS, 1.0 - _U_EPS))
+    phases = noise.quantile(np.clip(u[:, 1], _U_EPS, 1.0 - _U_EPS))
     alpha = np.where(bits, c.alpha1, c.alpha0)
 
     u_out = np.clip(u[:, 2], _U_EPS, 1.0 - _U_EPS)
@@ -153,5 +162,4 @@ def _run_block(c, cfg, noise, key, n, scheme, orientation) -> int:
         x = mean + math.sqrt(0.5) * ndtri(u_out)
         high = x > cfg
 
-    decoded_one = high if orientation == BIT1_HIGH else ~high
-    return int(np.count_nonzero(decoded_one != bits))
+    return int(np.count_nonzero(high != bits))

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_hermite
+from scipy.special import ndtri, roots_hermite
 
 from .constellation import check_count
 
@@ -58,13 +58,26 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class PhaseNoise:
-    """Gaussian phase diffusion of standard deviation ``sigma`` (radians)."""
+    """Gaussian phase diffusion of standard deviation ``sigma`` (radians).
+
+    The one place the law is written down: its quadrature rule
+    (:func:`build_rule`), its characteristic function and its quantile
+    function.  Every other module reaches the law through these.
+    """
 
     sigma: float
 
     def __post_init__(self):
         if not math.isfinite(self.sigma) or self.sigma < 0.0:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+
+    def characteristic(self, n):
+        """``<exp(i*n*phi)>_phi = exp(-(sigma*n)^2/2)``, elementwise over ``n``."""
+        return np.exp(-0.5 * (self.sigma * n) ** 2)
+
+    def quantile(self, u):
+        """The phase whose CDF value is ``u`` in (0, 1), elementwise over ``u``."""
+        return self.sigma * ndtri(u)
 
 
 @dataclass(frozen=True)

@@ -248,6 +248,17 @@ def test_pk_distribution_csv(tmp_path):
     assert any("tail_mass" in line for line in manifest)
 
 
+def test_pk_default_kmax_covers_the_bulk(tmp_path):
+    # without --kmax the counts run to ceil(mu + 10*sqrt(mu + 1) + 10) for the
+    # peak photon number mu = (|alpha| + |beta|)^2 = 1.44, which is 28
+    out = tmp_path / "pk.csv"
+    assert main(["pk", "--alpha", "1.2", "--sigma", "0.1", "--output", str(out)]) == EXIT_OK
+    manifest, _, rows = read_csv(out)
+    assert [int(r[0]) for r in rows] == list(range(29))
+    (line,) = [l for l in manifest if l.startswith("# parameters: ")]
+    assert "kmax=28" in line.split()
+
+
 def test_helstrom_report(capsys):
     assert main(["helstrom", "--nbar", "2", "--sigma", "0"]) == EXIT_OK
     kv = parse_kv(capsys.readouterr().out)
@@ -377,17 +388,25 @@ def test_absurd_range_is_a_usage_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["pk", "--alpha", "1", "--sigma", "0.1", "--kmax", "1000000000000000"],
-    ["helstrom", "--nbar", "1e16", "--sigma", "0.1"],
-    ["optimize", "--nbar", "2", "--sigma", "0.1", "--pnr", "100000000000"],
-])
-def test_absurd_size_is_a_usage_error(argv, capsys):
-    # petabytes: beyond any address space, so the allocation is refused at once
+ALLOCATE = "usage error: too many to allocate: "
+REPRESENT = "usage error: too large to represent: "
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pk", "--alpha", "1", "--sigma", "0.1", "--kmax", "1000000000000000"], ALLOCATE),
+    (["helstrom", "--nbar", "1e16", "--sigma", "0.1"], ALLOCATE),
+    (["optimize", "--nbar", "2", "--sigma", "0.1", "--pnr", "100000000000"], ALLOCATE),
+    # the default kmax squares the peak amplitude, past the largest float
+    (["pk", "--alpha", "1e200", "--sigma", "0.1"], REPRESENT),
+    (["pk", "--alpha", "2", "--beta", "1e200", "--sigma", "0"], REPRESENT),
+], ids=[f"argv{i}" for i in range(5)])
+def test_absurd_size_is_a_usage_error(argv, message, capsys):
+    # petabytes: beyond any address space, so the allocation is refused at
+    # once; a magnitude past the float range fails before any average
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "usage error: too many to allocate: " in captured.err
+    assert message in captured.err
     assert "Traceback" not in captured.err
 
 

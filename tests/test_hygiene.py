@@ -89,6 +89,20 @@ def test_poisson_routines_live_in_receivers():
     assert not found, "Poisson routine imported outside receivers.py:\n" + "\n".join(found)
 
 
+def _sigma_reads(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "sigma"]
+
+
+def test_phase_law_lives_in_phasenoise():
+    # The Helstrom kernel and the Monte Carlo draw reach the phase law through
+    # PhaseNoise's methods, so neither module reads its parameter.
+    found = [entry for name in ("helstrom.py", "montecarlo.py")
+             for entry in _sigma_reads(ROOT / "src" / "phaserx" / name)]
+    assert not found, "sigma read outside phasenoise.py:\n" + "\n".join(found)
+
+
 def _bench_hooked_names() -> set[str]:
     """Every ``module.name`` of the package that ``bench/tracing.py`` hooks or
     reads: the targets of its ``_const`` and ``_hook`` calls, with a loop

@@ -177,6 +177,14 @@ def test_scheme_and_orientation_guards():
     cfg = ReceiverConfig(beta=0.0, threshold_k=0, pnr_ceiling=1)
     with pytest.raises(ValueError):
         simulate_perr(c, cfg, NOISELESS, TrialConfig(trials=10, seed=0), orientation="sideways")
+    # every comparison with nan is false, so a nan decision point would decode
+    # every trial low; it is refused, while +-inf decode every trial one way
+    homodyne = TrialConfig(trials=1000, seed=1, scheme=SCHEME_HOMODYNE)
+    with pytest.raises(ValueError, match="decision point"):
+        simulate_perr(make_bpsk(2.0), float("nan"), PhaseNoise(0.1), homodyne)
+    low, _ = simulate_perr(make_bpsk(2.0), math.inf, PhaseNoise(0.1), homodyne)
+    high, _ = simulate_perr(make_bpsk(2.0), -math.inf, PhaseNoise(0.1), homodyne)
+    assert low + high == 1.0
 
 
 def test_direct_detection_agrees_with_closed_form():

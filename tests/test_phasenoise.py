@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, ndtr
 
 from phaserx.phasenoise import (
     BASE_ORDER,
@@ -113,6 +113,11 @@ def test_characteristic_function_values():
     assert got.shape == (2,)
     assert got[0] == pytest.approx(EXP_HALF_S45, rel=1e-12)
     assert got[1] == pytest.approx(EXP_92_S45, rel=1e-12)
+    # the law's own closed forms: its characteristic function, and its
+    # quantile at the CDF value of one standard deviation
+    assert noise.characteristic(1) == pytest.approx(EXP_HALF_S45, rel=1e-15)
+    assert noise.characteristic(3) == pytest.approx(EXP_92_S45, rel=1e-15)
+    assert noise.quantile(ndtr(1.0)) == pytest.approx(noise.sigma, rel=1e-15)
 
 
 def test_zero_sigma_average_is_point_evaluation():

@@ -184,6 +184,20 @@ def test_kennedy_nulling_closed_form():
     assert perr == pytest.approx(KENNEDY_2, rel=1e-12)
 
 
+@pytest.mark.xfail(reason="the bit0_high error is read as 1 - x, which loses "
+                   "the value's relative precision once it is small (ROADMAP item 14)")
+@pytest.mark.parametrize("nbar", [5.0, 8.0, 10.0])
+def test_mirror_labelled_kennedy_nulling_has_relative_precision(nbar):
+    """Tripwire for item 14: displacing BPSK by -sqrt(nbar) nulls the other
+    symbol, so the receiver decodes bit0_high at the same exp(-4*nbar)/2.
+    Today the relative errors are -7.39e-8, -6.02e-4 and -1 (the value reads
+    exactly 0 at nbar 10)."""
+    cfg = ReceiverConfig(beta=-math.sqrt(nbar), threshold_k=0, pnr_ceiling=1)
+    want = 0.5 * math.exp(-4.0 * nbar)
+    got = perr_generalized_kennedy(make_bpsk(nbar), cfg, NOISELESS)
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_generalized_kennedy_against_independent_quadrature():
     p1, o1 = generalized_kennedy_detail(
         BinaryConstellation(-1.9, 0.15),
