@@ -143,6 +143,12 @@ def _cmd_sql(args) -> int:
 
 def _cmd_sweep_nbar(args) -> int:
     nbars = _float_range(args.nbar_min, args.nbar_max, args.step)
+    # The largest photocount mean of the sweep, 4*nbar, is Kennedy's bright
+    # symbol at the top nbar: past the float range the arrays would only
+    # warn and carry inf.
+    top = args.efficiency * float(nbars[-1])
+    if not math.isfinite(4.0 * top):
+        raise OverflowError(f"photocount mean 4*nbar at nbar = {top} is past the float range")
     wavelength = args.wavelength_nm * 1e-9
     noiseless = PhaseNoise(0.0)
     rows = []

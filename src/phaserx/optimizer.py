@@ -26,10 +26,12 @@ The error probability is a phase average of Poisson CDFs ``F_K(mu)`` of the
 symbol intensities ``mu = a**2 + beta**2 + 2*a*beta*cos(phi)``, and
 ``dF_K/dmu = -p_K(mu)``, so its gradient and Hessian in (theta, beta) are
 phase averages of the same kind.  The grid scan and refinement average on
-one fixed rule, the folded ``GRID_QUAD_ORDER`` rule built once per problem,
-and refinement steers by the derivatives alone: each step is the Newton
-step on the Hessian's absolute curvatures, capped in length.  The error
-probability at a point comes only from the adaptive
+one fixed rule, the folded ``GRID_QUAD_ORDER`` rule built once per problem.
+The scan's beta axis is mirrored exactly, so it averages a table of symbol
+amplitudes, half as many rows as the grid's two symbols per angle, and
+gathers the grid from it.  Refinement steers by the derivatives alone:
+each step is the Newton step on the Hessian's absolute curvatures, capped
+in length.  The error probability at a point comes only from the adaptive
 ``generalized_kennedy_detail``, which accepts or rejects each step.
 """
 
@@ -135,25 +137,48 @@ def _grid_scan(problem: OptimizationProblem, rule):
 
     Returns ``(thetas, betas, perr)`` with ``perr[k, i, j]`` the
     ``bit1_high`` error at threshold ``k``; a cell and its mirror twin hold
-    ``x`` and ``1 - x``.  Both symbols' intensities and CDFs are one
-    ``(2, theta, beta)`` batch per node.  The grid only seeds refinement,
-    which re-evaluates adaptively.
-    """
-    s = math.sqrt(2.0 * problem.nbar)
-    thetas = np.linspace(0.0, math.pi, problem.grid_resolution, endpoint=False)
-    betas = np.linspace(-problem.beta_max, problem.beta_max, problem.beta_resolution)
-    # alpha1 and alpha0 of every theta, shape (2, theta, 1)
-    alphas = np.stack([s * np.sin(thetas), s * np.cos(thetas)])[:, :, None]
+    ``x`` and ``1 - x``.  The beta axis is mirrored exactly,
+    ``betas[m - 1 - j] == -betas[j]``: its first half is ``linspace``'s,
+    the rest that half negated, and the centre of an odd axis is 0.
 
-    # gap[k] accumulates P(count <= k | alpha1) - P(count <= k | alpha0).
-    gap = np.zeros((problem.pnr_ceiling, thetas.size, betas.size))
+    The averages run on a table of symbol amplitudes rather than on the
+    cells.  Cell ``i`` and cell ``n - i`` share ``|alpha1| = s*sin(theta)``
+    and ``|alpha0| = s*|cos(theta)|``, and ``mu(-a, beta) = mu(a, -beta)``.
+    So the table holds ``<F_K(mu)>`` for the ``n//2 + 1`` amplitudes of
+    each symbol with ``cos(theta) >= 0``, one batch per node, and each cell
+    gathers its two rows, with the beta axis reversed for ``alpha0`` where
+    ``cos(theta) < 0``.  The grid only seeds refinement, which re-evaluates
+    adaptively.
+    """
+    n, m = problem.grid_resolution, problem.beta_resolution
+    s = math.sqrt(2.0 * problem.nbar)
+    thetas = np.linspace(0.0, math.pi, n, endpoint=False)
+    betas = np.linspace(-problem.beta_max, problem.beta_max, m)
+    betas[m - m // 2:] = -betas[:m // 2][::-1]
+    if m % 2:
+        betas[m // 2] = 0.0
+    rows = n // 2 + 1
+    # |alpha1| then |alpha0| of theta_0 .. theta_(n//2), shape (2*rows, 1)
+    amps = np.concatenate([s * np.sin(thetas[:rows]), s * np.cos(thetas[:rows])])[:, None]
+
+    # table[k] accumulates P(count <= k | amplitude) per row and beta.
+    table = np.zeros((problem.pnr_ceiling, amps.size, m))
     for w, phi in zip(rule.weights, rule.nodes):
-        cdfs = _poisson_cdfs(displaced_intensity(alphas, betas, phi))
-        for k, (cdf1, cdf0) in zip(range(problem.pnr_ceiling), cdfs):
-            gap[k] += w * (cdf1 - cdf0)
-    gap *= 0.5
-    gap += 0.5
-    return thetas, betas, gap
+        for acc, cdf in zip(table, _poisson_cdfs(displaced_intensity(amps, betas, phi))):
+            acc += w * cdf
+
+    # Cells 0 .. n//2 read their own rows.  Cells n//2 + 1 .. n - 1 have
+    # cos(theta) < 0 and read the rows of n - i, descending, with alpha0's
+    # beta axis reversed.  2*rows >= n, so each threshold's grid is written
+    # into its table's first n rows once both gathers are read.
+    for acc in table:
+        one, zero = acc[:rows], acc[rows:]
+        gap = np.concatenate([one, one[n - rows:0:-1]])
+        gap -= np.concatenate([zero, zero[n - rows:0:-1, ::-1]])
+        gap *= 0.5
+        gap += 0.5
+        acc[:n] = gap
+    return thetas, betas, table[:, :n]
 
 
 def _select_seeds(perr: np.ndarray, nseeds: int) -> list[tuple[int, int, int]]:

@@ -75,8 +75,8 @@ def displaced_intensity(alpha, beta, phases) -> np.ndarray:
     cos = np.cos(phases)
     sin = np.sin(phases)
     # A real beta is left out of ``im`` and the squares are taken in place:
-    # on the optimizer's (theta, beta) grid each full-size temporary slows
-    # the scan measurably.
+    # on the optimizer's table of symbol amplitudes against its beta axis
+    # each full-size temporary slows the grid scan measurably.
     re = alpha.real * cos - alpha.imag * sin + beta.real
     im = alpha.real * sin + alpha.imag * cos
     if np.iscomplexobj(beta):
@@ -100,8 +100,9 @@ def _poisson_cdfs(mu):
     counts up to 100 at means 700 to 1200, and first visible from counts
     near 400 (3.8e-2 at count 700, mean 745).  ``poisson_cdf`` takes
     ``pdtr`` above the limit and the reference sampler ``poisson_inverse``
-    refuses such means; the grid scan, whose ``0.5 + 0.5*gap`` rounds to
-    ~1e-16 absolute anyway, uses the recurrence at every mean.
+    refuses such means; the grid scan, which averages it over a table of
+    symbol amplitudes and whose ``0.5 + 0.5*gap`` rounds to ~1e-16
+    absolute anyway, uses the recurrence at every mean.
     """
     term = np.exp(-mu)
     cdf = term

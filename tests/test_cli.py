@@ -399,7 +399,9 @@ REPRESENT = "usage error: too large to represent: "
     # the default kmax squares the peak amplitude, past the largest float
     (["pk", "--alpha", "1e200", "--sigma", "0.1"], REPRESENT),
     (["pk", "--alpha", "2", "--beta", "1e200", "--sigma", "0"], REPRESENT),
-], ids=[f"argv{i}" for i in range(5)])
+    # Kennedy's photocount mean 4*nbar, past the float range
+    (["sweep-nbar", "--nbar-max", "1e308", "--step", "1e308"], REPRESENT),
+], ids=[f"argv{i}" for i in range(6)])
 def test_absurd_size_is_a_usage_error(argv, message, capsys):
     # petabytes: beyond any address space, so the allocation is refused at
     # once; a magnitude past the float range fails before any average

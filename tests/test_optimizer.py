@@ -418,21 +418,17 @@ def test_default_knobs_reach_a_stationary_point(nbar, sigma):
     assert res.gradient_norm <= 1e-6 * res.perr
 
 
-def _grid_scan_full_rule(problem):
-    """Reference grid scan: sums over every node of the unfolded rule."""
+def _grid_scan_per_cell(problem, rule, thetas, betas):
+    """Reference grid scan on the given axes: each cell's own two symbols,
+    ``s*sin(theta)`` and ``s*cos(theta)``, averaged on ``rule``."""
     s = math.sqrt(2.0 * problem.nbar)
-    thetas = np.linspace(0.0, math.pi, problem.grid_resolution, endpoint=False)
-    betas = np.linspace(-problem.beta_max, problem.beta_max, problem.beta_resolution)
-    rule = build_rule(problem.noise, GRID_QUAD_ORDER)
-    a0 = (s * np.cos(thetas))[:, None]
-    a1 = (s * np.sin(thetas))[:, None]
+    alphas = np.stack([s * np.sin(thetas), s * np.cos(thetas)])[:, :, None]
     gap = np.zeros((problem.pnr_ceiling, thetas.size, betas.size))
     for w, phi in zip(rule.weights, rule.nodes):
-        cdfs0 = _poisson_cdfs(displaced_intensity(a0, betas, phi))
-        cdfs1 = _poisson_cdfs(displaced_intensity(a1, betas, phi))
-        for k, cdf0, cdf1 in zip(range(problem.pnr_ceiling), cdfs0, cdfs1):
+        cdfs = _poisson_cdfs(displaced_intensity(alphas, betas, phi))
+        for k, (cdf1, cdf0) in zip(range(problem.pnr_ceiling), cdfs):
             gap[k] += w * (cdf1 - cdf0)
-    return thetas, betas, 0.5 + 0.5 * gap
+    return 0.5 + 0.5 * gap
 
 
 @pytest.mark.parametrize("nbar, sigma, pnr", [
@@ -466,16 +462,59 @@ def _select_seeds_argsort(perr, nseeds):
 @pytest.mark.parametrize("sigma", [0.15, 0.45, 1.0])
 @pytest.mark.parametrize("pnr", [1, 8])
 def test_folded_grid_scan_matches_the_full_rule(sigma, pnr):
-    """Default grid: the scan on the folded rule agrees with the full-rule
-    sum up to rounding and picks the same seeds."""
+    """Default grid: the scan on the folded rule agrees with each cell's
+    sum over the full rule up to rounding and picks the same seeds."""
     problem = OptimizationProblem(nbar=1.87, noise=PhaseNoise(sigma), pnr_ceiling=pnr)
     rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
     thetas, betas, perr = _grid_scan(problem, rule)
-    ref_thetas, ref_betas, ref = _grid_scan_full_rule(problem)
-    assert np.array_equal(thetas, ref_thetas) and np.array_equal(betas, ref_betas)
+    assert np.array_equal(thetas, np.linspace(0.0, math.pi, 181, endpoint=False))
+    ref = _grid_scan_per_cell(problem, build_rule(problem.noise, GRID_QUAD_ORDER), thetas, betas)
     assert perr.shape == ref.shape == (pnr, 181, 241)
     assert np.all(np.abs(perr - ref) <= 1e-12 * ref)
     assert _select_seeds(perr, REFINE_SEEDS) == _select_seeds_argsort(ref, REFINE_SEEDS)
+
+
+def _check_table_scan(problem):
+    """Checks the scan's grid against each cell's own two-symbol average on
+    the returned axes, to 2e-15 absolute (ROADMAP item 11's gate), and
+    returns the axes."""
+    rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
+    thetas, betas, perr = _grid_scan(problem, rule)
+    ref = _grid_scan_per_cell(problem, rule, thetas, betas)
+    assert perr.shape == ref.shape
+    assert np.abs(perr - ref).max() <= 2e-15
+    return thetas, betas
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 31, 181])
+@pytest.mark.parametrize("m", [2, 3, 40, 41, 241])
+def test_table_scan_axes_and_values(n, m):
+    """theta is ``linspace``'s bit for bit; beta is mirrored exactly, its
+    first half ``linspace``'s bit for bit apart from an odd axis' 0.0
+    centre; and the grid gathered from the table of symbol amplitudes
+    agrees with each cell's own two-symbol average."""
+    # at nbar 3.4, linspace's centre of 241 betas is -8.9e-16, not 0.0
+    problem = OptimizationProblem(nbar=3.4, noise=PhaseNoise(0.3), pnr_ceiling=2,
+                                  grid_resolution=n, beta_resolution=m)
+    thetas, betas = _check_table_scan(problem)
+    assert thetas.tobytes() == np.linspace(0.0, math.pi, n, endpoint=False).tobytes()
+    assert np.array_equal(betas[::-1], -betas)
+    head = np.linspace(-problem.beta_max, problem.beta_max, m)[:(m + 1) // 2]
+    if m % 2:
+        head[-1] = 0.0
+    assert betas[:(m + 1) // 2].tobytes() == head.tobytes()
+
+
+@pytest.mark.parametrize("nbar, sigma, pnr, n, m", [
+    (0.01, 1.0, 2, 31, 41), (5.0, 0.1, 3, 30, 41), (25.0, 0.0, 8, 31, 40),
+    (30.0, 0.3, 32, 31, 41), (40.0, 0.1, 4, 181, 241),
+])
+def test_table_scan_matches_each_cells_average(nbar, sigma, pnr, n, m):
+    """From vanishing signal to nbar 40, past the recurrence limit, and on
+    the default grid, the table scan is within 2e-15 absolute of each
+    cell's own two-symbol average."""
+    _check_table_scan(OptimizationProblem(nbar=nbar, noise=PhaseNoise(sigma), pnr_ceiling=pnr,
+                                          grid_resolution=n, beta_resolution=m))
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0])
