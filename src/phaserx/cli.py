@@ -244,8 +244,10 @@ def _cmd_optimize(args) -> int:
     print(f"capped_seeds = {result.capped_seeds}")
 
     if trials is not None:
-        estimate, std_error = simulate_perr(result.constellation, result.config,
-                                            problem.noise, trials)
+        estimate, _ = simulate_perr(result.constellation, result.config,
+                                    problem.noise, trials)
+        # the analytic value's binomial SE: an estimate of 0 has an SE of 0
+        std_error = math.sqrt(result.perr * (1.0 - result.perr) / args.validate)
         if std_error > 0.0:
             z = (estimate - result.perr) / std_error
         else:

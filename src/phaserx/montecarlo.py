@@ -115,7 +115,8 @@ def simulate_perr(
     from the high side of the threshold (counts above K, or quadrature above
     the decision point).  Each block counts the errors of the ``bit1_high``
     rule; ``bit0_high`` flips every decision, so its block count is the
-    block's trials less that count.
+    block's trials less that count.  The argument stays only because the
+    benchmark passes it ``generalized_kennedy_detail``'s constant label.
     """
     if orientation not in (BIT1_HIGH, BIT0_HIGH):
         raise ValueError(f"unknown orientation {orientation!r}")

@@ -50,7 +50,6 @@ from .golden import golden_minimize
 from .helstrom import perr_helstrom
 from .phasenoise import ConvergenceError, PhaseNoise, build_rule, check_tolerance
 from .receivers import (
-    BIT1_HIGH,
     ReceiverConfig,
     _poisson_cdfs,
     _poisson_pmf,
@@ -113,11 +112,12 @@ class OptimizationResult:
     gradient_norm: float
     capped_seeds: int
     # Every refined seed of thresholds below the ceiling, in refinement
-    # order, as ``(k, theta, beta, perr, trace, gradient_norm)`` tuples: the
-    # end point of each seed's refinement, its error, its audit trace and
-    # the norm of the grid-scaled gradient of ``perr`` there (on the
-    # optimizer's fixed rule).  The winner is one of them; a lower
-    # ceiling's result picks among a prefix.
+    # order, as ``(k, theta, beta, perr, trace, gradient_norm, capped)``
+    # tuples: the end point of each seed's refinement, its error, its audit
+    # trace, the norm of the grid-scaled gradient of ``perr`` there (on the
+    # optimizer's fixed rule), and whether it stopped on
+    # ``MAX_REFINE_ROUNDS`` still moving.  The winner is one of them; a
+    # lower ceiling's result picks among a prefix.
     seeds: tuple[tuple, ...] = field(repr=False)
 
 
@@ -280,22 +280,21 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
     Never regresses: a point is accepted only if its adaptive error is below
     the best so far (the adaptively evaluated seed is iteration 0 of the
     audit trace), so each reported value keeps its quadrature tolerance.
-    ``generalized_kennedy_detail`` is the one evaluator of the error.  It
-    returns the ``bit1_high`` error ``x`` or, when it prefers ``bit0_high``,
-    ``1 - x``; then ``x >= 1/2``, so both ``1 - x`` and ``1 - (1 - x)`` are
-    exact and the ``bit1_high`` error is read off without rounding.
+    ``generalized_kennedy_detail`` is the one evaluator of the error.
 
-    Returns ``(theta, beta, best, trace, gradient_norm)`` for the last
-    accepted point, with the norm of the grid-scaled gradient there on
+    Returns ``(theta, beta, best, trace, gradient_norm, capped)`` for the
+    last accepted point, with the norm of the grid-scaled gradient there on
     ``rule``: the last round's, taken again only if that round moved.
+    ``capped`` is whether the last round still moved at least
+    ``REFINE_TOLERANCE``, so a seed converging in round ``MAX_REFINE_ROUNDS``
+    is not capped.
     """
 
     def evaluate(theta: float, beta: float) -> float:
         cfg = ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=problem.pnr_ceiling)
-        perr, orientation = generalized_kennedy_detail(
+        return generalized_kennedy_detail(
             parametrize(theta, problem.nbar), cfg, problem.noise, problem.quad_tolerance
-        )
-        return perr if orientation == BIT1_HIGH else 1.0 - perr
+        )[0]
 
     theta, beta = theta0, beta0
     best = evaluate(theta, beta)
@@ -328,13 +327,13 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
         radius = min(1.0, 2.0 * moved)
     if moved:
         grad, _ = _derivatives(problem.nbar, k, theta, beta, scale, rule)
-    return theta, beta, best, trace, math.hypot(*grad)
+    return theta, beta, best, trace, math.hypot(*grad), moved >= REFINE_TOLERANCE
 
 
 def _search(problem: OptimizationProblem) -> tuple:
     """Grid scan and refinement of every seed of thresholds
     ``0 .. pnr_ceiling - 1``, in refinement order, as
-    ``(k, theta, beta, perr, trace, gradient_norm)`` tuples.
+    ``(k, theta, beta, perr, trace, gradient_norm, capped)`` tuples.
 
     The one fixed rule of the search is folded onto phi >= 0: real
     amplitudes and a real displacement make every integrand averaged on
@@ -346,10 +345,10 @@ def _search(problem: OptimizationProblem) -> tuple:
     scale = np.array([thetas[1] - thetas[0], betas[1] - betas[0]])
     seeds = []
     for k, i, j in _select_seeds(grid_perr, REFINE_SEEDS):
-        theta, beta, perr, trace, norm = _refine(
+        theta, beta, perr, trace, norm, capped = _refine(
             problem, k, float(thetas[i]), float(betas[j]), scale, rule
         )
-        seeds.append((k, theta, beta, perr, tuple(trace), norm))
+        seeds.append((k, theta, beta, perr, tuple(trace), norm, capped))
     return tuple(seeds)
 
 
@@ -360,7 +359,7 @@ def _pick(problem: OptimizationProblem, seeds: tuple) -> OptimizationResult:
     within ``TIE_WINDOW`` of the best, relative to it."""
     candidates = tuple(s for s in seeds if s[0] < problem.pnr_ceiling)
     best_perr = min(s[3] for s in candidates)
-    k, theta, beta, perr, trace, gradient_norm = min(
+    k, theta, beta, perr, trace, gradient_norm, _ = min(
         (s for s in candidates if s[3] <= best_perr * (1.0 + TIE_WINDOW)),
         key=lambda s: (s[0], abs(s[2]), s[1], s[2]),
     )
@@ -374,7 +373,7 @@ def _pick(problem: OptimizationProblem, seeds: tuple) -> OptimizationResult:
         perr_helstrom=perr_helstrom(constellation, problem.noise),
         trace=trace,
         gradient_norm=gradient_norm,
-        capped_seeds=sum(s[4][-1][0] >= MAX_REFINE_ROUNDS for s in candidates),
+        capped_seeds=sum(s[6] for s in candidates),
         seeds=candidates,
     )
 

@@ -106,6 +106,20 @@ def test_sweep_nbar_reruns_byte_identical(tmp_path):
     assert data_a == data_b
 
 
+def test_sweep_nbar_writes_the_same_csv_to_stdout(tmp_path, capsys):
+    """The default ``--output -`` prints what ``--output FILE`` writes,
+    apart from the timestamp."""
+    out = tmp_path / "curves.csv"
+    argv = ["sweep-nbar", "--nbar-max", "2", "--step", "0.5"]
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert main([*argv, "--output", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    untimed = lambda text: [l for l in text.splitlines() if not l.startswith("# timestamp:")]  # noqa: E731
+    assert untimed(printed) == untimed(out.read_text())
+    assert len(untimed(printed)) == 3 + 1 + 5
+
+
 def test_sweep_sigma_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main(["sweep-sigma", "--nbar", "2", "--sigma-max", "0.45", "--step", "0.45",
@@ -224,6 +238,21 @@ def test_optimize_validate_zscore(capsys):
     assert kv["validate_trials"] == "200000"
     assert abs(float(kv["validate_z"])) < 5.0
     assert float(kv["validate_std_error"]) > 0.0
+
+
+def test_optimize_validate_without_errors_is_consistent(capsys):
+    """A run that sees no error at perr ~ 1e-9 agrees with it: the z-score
+    divides by the binomial standard error of the analytic value, which is
+    not 0 where the estimate's is."""
+    rc = main(["optimize", "--nbar", "5", "--sigma", "0", "--pnr", "1",
+               "--validate", "1000", "--grid-resolution", "31", "--beta-resolution", "31"])
+    assert rc == EXIT_OK
+    kv = parse_kv(capsys.readouterr().out)
+    assert float(kv["validate_estimate"]) == 0.0
+    perr = float(kv["perr"])
+    assert float(kv["validate_std_error"]) == pytest.approx(
+        (perr * (1.0 - perr) / 1000) ** 0.5, rel=1e-9)
+    assert abs(float(kv["validate_z"])) < 1e-2
 
 
 def test_efficiency_rescales_photon_number(capsys):
@@ -366,6 +395,7 @@ def test_optimize_validation_errors_fail_before_the_search(bad, monkeypatch, cap
     ["--tolerance", "inf"],
     ["--jobs", "0"],
     ["--efficiency", "3"],
+    ["--sigma-min", "0.3"],
 ])
 def test_sweep_sigma_usage_errors_fail_before_any_cell(bad, tmp_path, capsys):
     out = tmp_path / "sweep.csv"

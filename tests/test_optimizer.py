@@ -211,7 +211,7 @@ def test_pick_ties_seeds_within_the_relative_window():
     problem = fast_problem(2.0, 0.1, 2)
 
     def picked_k(perr0, perr1):
-        seeds = tuple((k, 0.8, 0.5, perr, ((0, perr),), 0.0)
+        seeds = tuple((k, 0.8, 0.5, perr, ((0, perr),), 0.0, False)
                       for k, perr in ((0, perr0), (1, perr1)))
         return _pick(problem, seeds).config.threshold_k
 
@@ -245,7 +245,7 @@ def test_sweep_validation(monkeypatch):
 @pytest.mark.parametrize("preferred, theta", [("bit1_high", 1.9), ("bit0_high", 0.35)])
 def test_derivative_terms_match_central_differences(sigma, k, preferred, theta):
     """The derivatives of the ``bit1_high`` error, both where it is the
-    evaluator's preferred labelling and where its mirror twin is."""
+    better labelling and where its mirror twin is."""
     nbar, h = 1.87, 1e-5
     s = math.sqrt(2.0 * nbar)
     # displace close to nulling the dim symbol, which fixes the preference
@@ -262,9 +262,10 @@ def test_derivative_terms_match_central_differences(sigma, k, preferred, theta):
 
     centre = p(0, 0)
     cfg = ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=k + 1)
-    perr, got = generalized_kennedy_detail(parametrize(theta, nbar), cfg, PhaseNoise(sigma))
-    assert got == preferred
-    assert centre == pytest.approx(perr if got == "bit1_high" else 1.0 - perr, rel=1e-9)
+    c = parametrize(theta, nbar)
+    x, _ = generalized_kennedy_detail(c, cfg, PhaseNoise(sigma))
+    assert (perr_generalized_kennedy(c, cfg, PhaseNoise(sigma)) == x) == (preferred == "bit1_high")
+    assert centre == pytest.approx(x, rel=1e-9)
     differences = [
         (p(1, 0) - p(-1, 0)) / (2 * h),
         (p(0, 1) - p(0, -1)) / (2 * h),
@@ -395,16 +396,31 @@ def test_every_seed_records_the_gradient_norm_at_its_end_point():
         thetas = np.linspace(0.0, math.pi, problem.grid_resolution, endpoint=False)
         betas = np.linspace(-problem.beta_max, problem.beta_max, problem.beta_resolution)
         scale = np.array([thetas[1] - thetas[0], betas[1] - betas[0]])
-        for k, theta, beta, _, trace, norm in res.seeds:
+        for k, theta, beta, _, trace, norm, capped in res.seeds:
             grad, _ = _derivatives(problem.nbar, k, theta, beta, scale, rule)
             assert norm == math.hypot(*grad)
-            seen["capped"] += trace[-1][0] >= MAX_REFINE_ROUNDS
+            seen["capped"] += capped
             # an accepted move always lowers the error
             seen["moved last" if trace[-1][1] < trace[-2][1] else "still last"] += 1
         winner = [s for s in res.seeds if (s[0], s[2], s[3], s[4]) == (
             res.config.threshold_k, res.config.beta, res.perr, res.trace)]
         assert winner and all(s[5] == res.gradient_norm for s in winner)
     assert all(seen.values()), seen
+
+
+def test_a_seed_converging_in_the_last_round_is_not_capped(monkeypatch):
+    """With the round cap set to the round in which a seed converges, that
+    seed is not capped: only the seeds still moving at the cap are."""
+    problem = fast_problem(2.0, 0.2, 3)
+    free = optimize(problem).seeds
+    last = max(s[4][-1][0] for s in free)
+    assert last < MAX_REFINE_ROUNDS and not any(s[6] for s in free)
+    monkeypatch.setattr("phaserx.optimizer.MAX_REFINE_ROUNDS", last)
+    res = optimize(problem)
+    # the cap changes no trace, and the seeds that end in round ``last``
+    # converged there
+    assert [s[4] for s in res.seeds] == [s[4] for s in free]
+    assert not any(s[6] for s in res.seeds) and res.capped_seeds == 0
 
 
 @pytest.mark.xfail(reason="refinement stops on the round cap short of a "
@@ -540,16 +556,18 @@ def test_grid_holds_each_receiver_and_its_mirror_twin(sigma, n_theta):
 def test_optimizer_reports_the_bit1_high_twin(nbar, sigma, pnr):
     """Where a search over both labellings settled on the ``bit0_high``
     twin, the result is the ``bit1_high`` one, and swapping its symbols
-    gives the same receiver decoded ``bit0_high``."""
+    gives the same receiver decoded ``bit0_high``: the stated rule's error
+    is the complement, and the better labelling's error is the result's."""
     res = default_optimum(nbar, sigma, pnr)
     noise = PhaseNoise(sigma)
     assert generalized_kennedy_detail(res.constellation, res.config, noise) == (
         res.perr, BIT1_HIGH)
+    assert perr_generalized_kennedy(res.constellation, res.config, noise) == res.perr
     c = res.constellation
     swapped = BinaryConstellation(alpha0=c.alpha1, alpha1=c.alpha0)
-    perr, orientation = generalized_kennedy_detail(swapped, res.config, noise)
-    assert orientation == "bit0_high"
-    assert abs(perr - res.perr) <= 1e-15
+    x, _ = generalized_kennedy_detail(swapped, res.config, noise)
+    assert abs((1.0 - x) - res.perr) <= 1e-15
+    assert abs(perr_generalized_kennedy(swapped, res.config, noise) - res.perr) <= 1e-15
 
 
 @pytest.mark.parametrize("nbar, sigma, pnr", [
@@ -562,8 +580,7 @@ def test_optimum_matches_a_30_digit_quadrature(nbar, sigma, pnr):
     both Poisson tails taken as regularized incomplete gamma functions."""
     mp = pytest.importorskip("mpmath").mp
     res = default_optimum(nbar, sigma, pnr)
-    assert generalized_kennedy_detail(
-        res.constellation, res.config, PhaseNoise(sigma))[1] == BIT1_HIGH
+    assert perr_generalized_kennedy(res.constellation, res.config, PhaseNoise(sigma)) == res.perr
     k = res.config.threshold_k
     with mp.workdps(30):
         a1, a0, beta = (mp.mpf(float(x.real)) for x in (

@@ -8,7 +8,6 @@ from scipy.stats import poisson
 from phaserx.constellation import BinaryConstellation, make_bpsk, make_ook, parametrize
 from phaserx.phasenoise import PhaseNoise, average
 from phaserx.receivers import (
-    BIT0_HIGH,
     BIT1_HIGH,
     ReceiverConfig,
     displaced_intensity,
@@ -199,13 +198,17 @@ def test_mirror_labelled_kennedy_nulling_has_relative_precision(nbar):
 
 
 def test_generalized_kennedy_against_independent_quadrature():
-    p1, o1 = generalized_kennedy_detail(
-        BinaryConstellation(-1.9, 0.15),
-        ReceiverConfig(beta=-0.12, threshold_k=0, pnr_ceiling=8),
-        PhaseNoise(0.45),
-    )
-    assert p1 == pytest.approx(GK_NEAR_OOK_S45, rel=1e-10)
-    assert o1 == BIT0_HIGH  # the bright symbol carries bit 0 here
+    near_ook = (BinaryConstellation(-1.9, 0.15),
+                ReceiverConfig(beta=-0.12, threshold_k=0, pnr_ceiling=8), PhaseNoise(0.45))
+    assert perr_generalized_kennedy(*near_ook) == pytest.approx(GK_NEAR_OOK_S45, rel=1e-10)
+    # the bright symbol carries bit 0 here, so the rule as stated errs with
+    # the complement, and with the value itself once the symbols swap
+    x, label = generalized_kennedy_detail(*near_ook)
+    assert label == BIT1_HIGH
+    assert 1.0 - x == pytest.approx(GK_NEAR_OOK_S45, rel=1e-10)
+    c, cfg, noise = near_ook
+    swapped, _ = generalized_kennedy_detail(BinaryConstellation(c.alpha1, c.alpha0), cfg, noise)
+    assert swapped == pytest.approx(GK_NEAR_OOK_S45, rel=1e-10)
     p2, _ = generalized_kennedy_detail(
         BinaryConstellation(-1.0, 1.4),
         ReceiverConfig(beta=1.3, threshold_k=1, pnr_ceiling=2),
@@ -235,8 +238,8 @@ def test_generalized_kennedy_equals_one_integrand_per_symbol():
             return 0.5 * low1 + 0.5 * high0
 
         perr = min(max(average(noise, per_symbol), 0.0), 1.0)
-        expected = (perr, BIT1_HIGH) if perr <= 1.0 - perr else (1.0 - perr, BIT0_HIGH)
-        assert generalized_kennedy_detail(c, cfg, noise) == expected
+        assert generalized_kennedy_detail(c, cfg, noise) == (perr, BIT1_HIGH)
+        assert perr_generalized_kennedy(c, cfg, noise) == min(perr, 1.0 - perr)
 
 
 def test_large_mean_tail_is_accurate():
@@ -248,15 +251,38 @@ def test_large_mean_tail_is_accurate():
 
 
 def test_orientation_flip_under_symbol_swap():
-    """Swapping the symbols flips the orientation, not the error."""
+    """Swapping the symbols complements the error of the stated rule, and
+    leaves the error under the better labelling as it is."""
     c = BinaryConstellation(-1.9, 0.15)
     cs = BinaryConstellation(0.15, -1.9)
     cfg = ReceiverConfig(beta=-0.12, threshold_k=0, pnr_ceiling=8)
     noise = PhaseNoise(0.45)
-    p, o = generalized_kennedy_detail(c, cfg, noise)
-    ps, os_ = generalized_kennedy_detail(cs, cfg, noise)
-    assert ps == pytest.approx(p, rel=1e-14)
-    assert {o, os_} == {BIT0_HIGH, BIT1_HIGH}
+    x, o = generalized_kennedy_detail(c, cfg, noise)
+    xs, os_ = generalized_kennedy_detail(cs, cfg, noise)
+    assert o == os_ == BIT1_HIGH
+    assert xs == pytest.approx(1.0 - x, rel=1e-14)
+    assert perr_generalized_kennedy(cs, cfg, noise) == pytest.approx(
+        perr_generalized_kennedy(c, cfg, noise), rel=1e-14)
+
+
+def test_detail_states_one_rule_and_perr_takes_the_better_labelling():
+    """On seeded receivers, about half of them better decoded ``bit0_high``,
+    the evaluator labels every error ``bit1_high`` and
+    ``perr_generalized_kennedy`` is ``min(x, 1 - x)`` bit for bit."""
+    rng = np.random.default_rng(2027)
+    above_half = 0
+    for _ in range(60):
+        nbar = rng.uniform(0.5, 5.0)
+        c = parametrize(rng.uniform(0.0, math.pi), nbar)
+        pnr = int(rng.integers(1, 9))
+        beta = rng.uniform(-1.0, 1.0) * 3.0 * math.sqrt(2.0 * nbar)
+        cfg = ReceiverConfig(beta=beta, threshold_k=int(rng.integers(0, pnr)), pnr_ceiling=pnr)
+        noise = PhaseNoise(rng.uniform(0.0, 0.5))
+        x, label = generalized_kennedy_detail(c, cfg, noise)
+        assert label == BIT1_HIGH and 0.0 <= x <= 1.0
+        assert perr_generalized_kennedy(c, cfg, noise) == min(x, 1.0 - x)
+        above_half += x > 0.5
+    assert 10 <= above_half <= 50
 
 
 def test_generalized_kennedy_never_exceeds_half():
