@@ -12,6 +12,7 @@ closed form in :func:`phaserx.receivers.perr_helstrom_noiseless`.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,23 +33,29 @@ from .receivers import _poisson_pmf
 # golden-section bracket width that refines the best of them.
 HELSTROM_GRID = 121
 HELSTROM_XTOL = 1e-6
+# optimize_helstrom scans its angles in chunks whose stack of real density
+# matrices holds at most this many bytes, or one angle where a single matrix
+# is larger (dim > 128).  Of budgets from 32 KiB to 8 MiB, 128 KiB ran the
+# scan fastest at the sweep's dims (43-50).
+HELSTROM_STACK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
 class FockDensityMatrix:
-    """Hermitian matrix of a state truncated to Fock levels ``0 .. dim-1``;
-    its trace and purity are read off ``elements``."""
+    """Hermitian matrix of a state truncated to Fock levels ``0 .. dim-1``,
+    or a stack of them: ``elements`` has shape ``(..., dim, dim)``.  Each
+    matrix's trace and purity are read off ``elements``."""
 
     dim: int
     elements: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         m = self.elements
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got {m.shape}")
+        if m.shape[-2:] != (self.dim, self.dim):
+            raise ValueError(f"expected {self.dim}x{self.dim} matrices, got shape {m.shape}")
         # a non-finite element fails the bound (inf - inf is nan) without a warning
         with np.errstate(invalid="ignore"):
-            hermitian = np.all(np.abs(m - m.conj().T) <= 1e-12)
+            hermitian = (np.abs(m - m.conj().swapaxes(-1, -2)) <= 1e-12).all()
         if not hermitian:
             raise ValueError("matrix is not Hermitian within 1e-12")
 
@@ -64,48 +71,86 @@ def required_dim(peak_photon_number: float) -> int:
     return math.ceil(mu + 10.0 * math.sqrt(mu + 1.0) + 20.0)
 
 
+@functools.lru_cache(maxsize=8)
+def _dephasing_kernel(noise: PhaseNoise, dim: int) -> np.ndarray:
+    # G[m, n] = noise.characteristic(m - n), cached read-only: the two
+    # symbol states of one Helstrom error, and every golden probe of one
+    # optimize_helstrom, share it
+    m = np.arange(dim)
+    kernel = noise.characteristic(m[:, None] - m[None, :])
+    kernel.setflags(write=False)
+    return kernel
+
+
 def phase_diffused_state(
-    alpha: complex,
+    alpha,
     noise: PhaseNoise,
     dim: int | None = None,
 ) -> FockDensityMatrix:
-    """Fock-basis density matrix of a dephased coherent state.
+    """Fock-basis density matrix of a dephased coherent state, or the stack
+    of them for an array of amplitudes.
 
     ``rho = (a a^dagger) * G`` elementwise, with the pure-state amplitudes
     ``a[m] = <m|alpha> = sqrt(p_m(|alpha|^2)) * exp(i*m*arg(alpha))``, where
     ``p_m`` is the Poisson pmf (log space, so large ``m`` cannot overflow),
     and the dephasing kernel ``G[m, n] = noise.characteristic(m - n)``, the
-    phase average of ``exp(i*(m - n)*phi)``.
-    A real ``alpha`` gives a real, exactly symmetric matrix.  ``dim``
-    defaults to ``required_dim(|alpha|^2)``; passing a smaller value raises
-    with the required size in the message.
+    phase average of ``exp(i*(m - n)*phi)``, built once per ``(noise, dim)``.
+    An ``alpha`` of shape ``S`` gives ``elements`` of shape ``S + (dim, dim)``,
+    each matrix equal to the one its amplitude gives alone; a scalar is the
+    0-d case.  A real ``alpha`` gives a real, exactly symmetric matrix; the
+    stack is real when every amplitude is.  ``dim`` defaults to
+    ``required_dim`` of the largest ``|alpha|^2``; passing a smaller value
+    raises with the required size in the message.
     """
-    alpha = check_amplitude("alpha", alpha)
-    mu = abs(alpha) ** 2
-    need = required_dim(mu)
+    alpha = np.asarray(alpha)
+    alphas = [check_amplitude("alpha", a) for a in alpha.ravel().tolist()]
+    # Python's abs(a) ** 2 (C pow), not numpy's square of np.abs: the two
+    # differ by an ulp for some amplitudes
+    mus = [abs(a) ** 2 for a in alphas]
+    peak = max(mus)
+    need = required_dim(peak)
     dim = need if dim is None else check_count("dim", dim, 1)
     if dim < need:
         raise ValueError(
-            f"dim = {dim} is too small for |alpha|^2 = {mu:.6g}; "
+            f"dim = {dim} is too small for |alpha|^2 = {peak:.6g}; "
             f"need at least {need} to keep the truncated tail below ~1e-12"
         )
 
     m = np.arange(dim)
-    amp = np.sqrt(_poisson_pmf(m, mu)) * np.exp(1j * cmath.phase(alpha) * m)
-    if alpha.imag == 0.0:
-        # cos(pi*m) rounds to exactly +-1, so a real alpha stays real
-        amp = amp.real
-    elements = np.outer(amp, amp.conj()) * noise.characteristic(m[:, None] - m[None, :])
+    rows = alpha.shape + (1,)
+    mu = np.array(mus).reshape(rows)
+    phase = np.array([1j * cmath.phase(a) for a in alphas]).reshape(rows)
+    amp = np.sqrt(_poisson_pmf(m, mu)) * np.exp(phase * m)
+    # cos(pi*m) rounds to exactly +-1, so a real alpha's row is real
+    real = [a.imag == 0.0 for a in alphas]
+    amp = amp.real if all(real) else np.where(np.reshape(real, rows), amp.real, amp)
+    elements = amp[..., :, None] * amp.conj()[..., None, :]
+    elements *= _dephasing_kernel(noise, dim)
     return FockDensityMatrix(dim=dim, elements=elements)
 
 
-def trace_distance(a: FockDensityMatrix, b: FockDensityMatrix) -> float:
-    """Half the trace norm of ``a - b`` (sum of |eigenvalues| of the difference)."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    diff = a.elements - b.elements
-    eigs = np.linalg.eigvalsh(diff)
-    return 0.5 * float(np.abs(eigs).sum())
+def trace_distance(a: FockDensityMatrix, b: FockDensityMatrix):
+    """Half the trace norm of ``a - b`` (sum of |eigenvalues| of the difference).
+
+    A float for two matrices; for two stacks of the same shape, the array of
+    the matched pairs' distances from one batched eigensolve, each equal to
+    its pair's own call.  The one exception is a pair of real matrices in a
+    complex stack: it is solved as complex Hermitian, which can move its
+    distance in the last bit.
+    """
+    if a.elements.shape != b.elements.shape:
+        raise ValueError(f"dimension mismatch: {a.elements.shape} vs {b.elements.shape}")
+    eigs = np.linalg.eigvalsh(a.elements - b.elements)
+    distance = 0.5 * np.abs(eigs).sum(axis=-1)
+    return distance if distance.ndim else float(distance)
+
+
+def _helstrom_error(alpha0, alpha1, noise: PhaseNoise, dim: int):
+    """``(1 - trace_distance)/2`` of the dephased symbol pairs, clipped to
+    [0, 1/2]: a float for two amplitudes, an array for two stacks."""
+    distance = trace_distance(phase_diffused_state(alpha0, noise, dim),
+                              phase_diffused_state(alpha1, noise, dim))
+    return np.minimum(np.maximum(0.5 * (1.0 - distance), 0.0), 0.5)
 
 
 def perr_helstrom(
@@ -122,28 +167,37 @@ def perr_helstrom(
     """
     if dim is None:
         dim = required_dim(max(abs(c.alpha0) ** 2, abs(c.alpha1) ** 2))
-    rho0 = phase_diffused_state(c.alpha0, noise, dim)
-    rho1 = phase_diffused_state(c.alpha1, noise, dim)
-    perr = 0.5 * (1.0 - trace_distance(rho0, rho1))
-    return min(max(perr, 0.0), 0.5)
+    return float(_helstrom_error(c.alpha0, c.alpha1, noise, dim))
 
 
 def optimize_helstrom(nbar: float, noise: PhaseNoise) -> tuple[BinaryConstellation, float]:
     """Best Helstrom error over real-axis constellations at fixed power.
 
-    Scans the power-preserving angle parametrization, then refines the best
-    grid cell by golden-section search.  Used for the bound optimized
+    Scans ``HELSTROM_GRID`` angles of the power-preserving parametrization,
+    then refines the best grid cell by golden-section search.  The scan
+    builds its states as stacks, in chunks of angles whose stack of real
+    matrices fits in ``HELSTROM_STACK_BYTES``, and takes each chunk's
+    trace distances from one batched eigensolve; every value equals the
+    ``perr_helstrom`` of its angle.  Used for the bound optimized
     independently of any concrete receiver.
     """
     check_nbar(nbar, positive=True)
     thetas = np.linspace(0.0, math.pi, HELSTROM_GRID, endpoint=False)
-    # common truncation across all candidates: peak symbol energy is 2*nbar
-    dim = required_dim(2.0 * nbar)
+    grid = [parametrize(t, nbar) for t in thetas]
+    # common truncation across all candidates: the peak symbol energy is
+    # 2*nbar, or |sqrt(2*nbar)|^2 (theta = 0) where that rounds above it
+    dim = required_dim(max(2.0 * nbar, abs(grid[0].alpha0) ** 2))
+    alpha0 = [c.alpha0 for c in grid]
+    alpha1 = [c.alpha1 for c in grid]
+    chunk = max(1, HELSTROM_STACK_BYTES // (8 * dim * dim))
+    values = np.concatenate([
+        _helstrom_error(alpha0[lo:lo + chunk], alpha1[lo:lo + chunk], noise, dim)
+        for lo in range(0, HELSTROM_GRID, chunk)
+    ]).tolist()
 
     def objective(theta: float) -> float:
         return perr_helstrom(parametrize(theta, nbar), noise, dim)
 
-    values = [objective(t) for t in thetas]
     i = int(np.argmin(values))
     step = thetas[1] - thetas[0]
     refined = golden_minimize(objective, thetas[i] - step, thetas[i] + step, xtol=HELSTROM_XTOL)

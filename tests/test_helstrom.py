@@ -1,11 +1,17 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from phaserx.constellation import make_bpsk, make_ook
+from phaserx import helstrom
+from phaserx.constellation import make_bpsk, make_ook, parametrize
+from phaserx.golden import golden_minimize
 from phaserx.helstrom import (
+    HELSTROM_GRID,
+    HELSTROM_STACK_BYTES,
+    HELSTROM_XTOL,
     FockDensityMatrix,
     optimize_helstrom,
     perr_helstrom,
@@ -14,7 +20,7 @@ from phaserx.helstrom import (
     trace_distance,
 )
 from phaserx.phasenoise import PhaseNoise
-from phaserx.receivers import perr_helstrom_noiseless
+from phaserx.receivers import _poisson_pmf, perr_helstrom_noiseless
 
 # Pure-state closed-form references for BPSK at fixed nbar:
 HELSTROM_BPSK = {
@@ -195,3 +201,165 @@ def test_optimize_helstrom_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             optimize_helstrom(bad, NOISELESS)
+
+
+# Amplitudes of every kind a state is built from: positive, negative, zero,
+# complex, and real axis pairs of optimize_helstrom's scan.
+MIXED_AMPLITUDES = [1.8, -1.2, 0.0, 1.3 - 0.6j, -0.4 + 1.1j, 2.1, -0.0, 0.7j, -0.4]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.45, 3.0])
+def test_stacked_state_equals_per_amplitude_calls(sigma):
+    noise = PhaseNoise(sigma)
+    dim = required_dim(2.1**2)
+    stack = phase_diffused_state(MIXED_AMPLITUDES, noise, dim)
+    assert stack.dim == dim
+    assert stack.elements.shape == (len(MIXED_AMPLITUDES), dim, dim)
+    for alpha, elements in zip(MIXED_AMPLITUDES, stack.elements):
+        assert np.array_equal(elements, phase_diffused_state(alpha, noise, dim).elements)
+    # an all-real stack is real, and each matrix is the single call's bit for bit
+    real = [a for a in MIXED_AMPLITUDES if complex(a).imag == 0.0]
+    grid = np.reshape(real, (2, 3))
+    stack = phase_diffused_state(grid, noise, dim)
+    assert stack.elements.dtype == np.float64
+    assert stack.elements.shape == (2, 3, dim, dim)
+    for alpha, elements in zip(grid.ravel(), stack.elements.reshape(-1, dim, dim)):
+        single = phase_diffused_state(alpha, noise, dim).elements
+        assert single.dtype == np.float64
+        assert elements.tobytes() == single.tobytes()
+
+
+# Pairs for stacked trace distances: all real, then each with a complex
+# member.  A real pair inside a complex stack is solved as a complex
+# Hermitian matrix, which may differ from its real solve in the last bit.
+REAL_PAIRS = ([1.8, -1.2, 0.0, 2.1, -0.0, -0.4], [-0.4, -0.0, 2.1, 0.0, -1.2, 1.8])
+COMPLEX_PAIRS = ([1.3 - 0.6j, -0.4 + 1.1j, 0.7j, 1.8, 0.0, -1.2],
+                 [-1.2, 0.0, 2.1, 0.7j, 1.3 - 0.6j, -0.4 + 1.1j])
+
+
+@pytest.mark.parametrize("pairs", [REAL_PAIRS, COMPLEX_PAIRS], ids=["real", "complex"])
+@pytest.mark.parametrize("sigma", [0.0, 0.45, 3.0])
+def test_stacked_trace_distance_equals_per_pair_calls(sigma, pairs):
+    noise = PhaseNoise(sigma)
+    dim = required_dim(2.1**2)
+    first, second = pairs
+    distances = trace_distance(phase_diffused_state(first, noise, dim),
+                               phase_diffused_state(second, noise, dim))
+    assert distances.shape == (len(first),)
+    for a, b, got in zip(first, second, distances.tolist()):
+        want = trace_distance(phase_diffused_state(a, noise, dim), phase_diffused_state(b, noise, dim))
+        assert type(want) is float
+        assert got == want
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        trace_distance(phase_diffused_state(first, noise, dim),
+                       phase_diffused_state(second[:2], noise, dim))
+
+
+def test_stack_with_one_non_hermitian_matrix_raises_like_a_single_one():
+    good = phase_diffused_state([1.0, -0.5, 0.3j], PhaseNoise(0.2), dim=40).elements.copy()
+    bad = good[1].copy()
+    bad[0, 3] += 1e-9  # not mirrored
+    with pytest.raises(ValueError) as single:
+        FockDensityMatrix(dim=40, elements=bad)
+    good[1] = bad
+    with pytest.raises(ValueError) as stacked:
+        FockDensityMatrix(dim=40, elements=good)
+    assert str(stacked.value) == str(single.value) == "matrix is not Hermitian within 1e-12"
+
+
+def test_stacked_state_validates_every_amplitude():
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        phase_diffused_state([1.0, math.nan], PhaseNoise(0.1))
+    # the default and the minimum dim follow the brightest amplitude
+    assert phase_diffused_state([0.5, -3.0], PhaseNoise(0.1)).dim == required_dim(9.0)
+    with pytest.raises(ValueError, match="need at least"):
+        phase_diffused_state([0.5, -3.0], PhaseNoise(0.1), dim=required_dim(0.25))
+
+
+def _per_angle_perr(c, noise, dim):
+    """One Helstrom error as optimize_helstrom's per-angle scan took it before
+    its states were stacked: ``abs(alpha) ** 2`` on Python floats, one outer
+    product per state, one eigensolve per pair."""
+    def state(alpha):
+        m = np.arange(dim)
+        amp = np.sqrt(_poisson_pmf(m, abs(alpha) ** 2)) * np.exp(1j * cmath.phase(alpha) * m)
+        if alpha.imag == 0.0:
+            amp = amp.real
+        return np.outer(amp, amp.conj()) * noise.characteristic(m[:, None] - m[None, :])
+
+    eigs = np.linalg.eigvalsh(state(c.alpha0) - state(c.alpha1))
+    perr = 0.5 * (1.0 - 0.5 * float(np.abs(eigs).sum()))
+    return min(max(perr, 0.0), 0.5)
+
+
+def _per_angle_optimize(nbar, noise):
+    """optimize_helstrom's per-angle scan and golden refinement, the oracle:
+    returns the 121 scan values, the constellation and its error."""
+    thetas = np.linspace(0.0, math.pi, HELSTROM_GRID, endpoint=False)
+    dim = required_dim(2.0 * nbar)
+
+    def objective(theta):
+        return _per_angle_perr(parametrize(theta, nbar), noise, dim)
+
+    values = [objective(t) for t in thetas]
+    i = int(np.argmin(values))
+    step = thetas[1] - thetas[0]
+    refined = golden_minimize(objective, thetas[i] - step, thetas[i] + step, xtol=HELSTROM_XTOL)
+    theta, perr = min(refined, (thetas[i], values[i]), key=lambda point: point[1])
+    return values, parametrize(theta, nbar), perr
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("nbar", [0.3, 2.0, 8.0])
+def test_stacked_scan_equals_per_angle_loop(monkeypatch, nbar, sigma):
+    """Bit-equality with the per-angle oracle.  At nbar 0.3 numpy's square of
+    np.abs(alpha) and Python's abs(alpha) ** 2 differ by an ulp at some
+    angles, so a stack that squared in numpy would move values here."""
+    noise = PhaseNoise(sigma)
+    scanned = []
+    stacked = helstrom.trace_distance
+
+    def spy(a, b):
+        out = stacked(a, b)
+        if a.elements.ndim == 3:
+            scanned.extend(np.clip(0.5 * (1.0 - out), 0.0, 0.5).tolist())
+        return out
+
+    monkeypatch.setattr(helstrom, "trace_distance", spy)
+    c, perr = optimize_helstrom(nbar, noise)
+    values, want_c, want_perr = _per_angle_optimize(nbar, noise)
+    assert [v.hex() for v in scanned] == [v.hex() for v in values]
+    assert type(perr) is float
+    assert perr.hex() == want_perr.hex()
+    assert (c.alpha0, c.alpha1) == (want_c.alpha0, want_c.alpha1)
+
+
+@pytest.mark.parametrize(("nbar", "dim"), [(5.0, 64), (20.0, 125)])
+def test_scan_stacks_stay_within_the_byte_budget(monkeypatch, nbar, dim):
+    """Every stack the scan hands to trace_distance fits HELSTROM_STACK_BYTES:
+    at nbar 20 one 121-angle stack would take 15 MB."""
+    assert required_dim(2.0 * nbar) == dim
+    sizes = []
+    stacked = helstrom.trace_distance
+
+    def spy(a, b):
+        if a.elements.ndim == 3:
+            sizes.append((a.elements.shape[0], a.elements.nbytes, b.elements.nbytes))
+        return stacked(a, b)
+
+    monkeypatch.setattr(helstrom, "trace_distance", spy)
+    optimize_helstrom(nbar, PhaseNoise(0.3))
+    assert sum(n for n, _, _ in sizes) == HELSTROM_GRID
+    assert max(max(a, b) for _, a, b in sizes) <= HELSTROM_STACK_BYTES
+    assert HELSTROM_GRID * dim * dim * 8 > HELSTROM_STACK_BYTES
+    # chunks are as large as the budget allows
+    assert sizes[0][0] == HELSTROM_STACK_BYTES // (8 * dim * dim)
+
+
+def test_optimize_helstrom_where_the_peak_energy_rounds_up():
+    """At nbar 4, sqrt(8)**2 rounds to 8 + 2 ulp, whose required_dim is 59
+    against required_dim(8) = 58: the scan takes the larger truncation."""
+    assert required_dim(abs(parametrize(0.0, 4.0).alpha0) ** 2) == required_dim(8.0) + 1
+    c, perr = optimize_helstrom(4.0, PhaseNoise(0.3))
+    assert c.mean_photon_number() == pytest.approx(4.0, rel=1e-12)
+    assert 0.0 < perr <= perr_helstrom(make_bpsk(4.0), PhaseNoise(0.3)) + 1e-12
