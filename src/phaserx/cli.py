@@ -388,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=20260822,
                    help="oracle RNG seed (with --validate)")
     p.add_argument("--trace-output", default=None,
-                   help="optional CSV path for the audit trace of the winning seed's "
-                        "Newton refinement: the best error probability per iteration")
+                   help="CSV path for the winning seed's audit trace: its best error on the "
+                        "search rule per Newton round, the last within --tolerance of perr")
     _add_common(p)
     _add_grid_knobs(p)
     p.set_defaults(func=_cmd_optimize)

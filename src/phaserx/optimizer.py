@@ -29,10 +29,11 @@ phase averages of the same kind.  The grid scan and refinement average on
 one fixed rule, the folded ``GRID_QUAD_ORDER`` rule built once per problem.
 The scan's beta axis is mirrored exactly, so it averages a table of symbol
 amplitudes, half as many rows as the grid's two symbols per angle, and
-gathers the grid from it.  Refinement steers by the derivatives alone:
-each step is the Newton step on the Hessian's absolute curvatures, capped
-in length.  The error probability at a point comes only from the adaptive
-``generalized_kennedy_detail``, which accepts or rejects each step.
+gathers the grid from it.  Refinement steps on the Newton step of the
+Hessian's absolute curvatures, capped in length, and accepts it on the
+error averaged on that rule.  The adaptive ``generalized_kennedy_detail``
+certifies each seed's end point once, and its value is reported; a seed
+whose rule misses it by more than the tolerance goes on on a finer rule.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ import numpy as np
 from .constellation import BinaryConstellation, check_count, check_nbar, parametrize
 from .golden import golden_minimize
 from .helstrom import perr_helstrom
-from .phasenoise import ConvergenceError, PhaseNoise, build_rule, check_tolerance
+from .phasenoise import MAX_ORDER, ConvergenceError, PhaseNoise, build_rule, check_tolerance
 from .receivers import (
     ReceiverConfig,
+    _kennedy_error,
     _poisson_cdfs,
     _poisson_pmf,
     displaced_intensity,
@@ -58,7 +60,7 @@ from .receivers import (
     perr_sql_baseline,
 )
 
-# Order of the one fixed rule that the grid scan and refinement average on.
+# Order of the fixed rule that the grid scan and refinement average on.
 GRID_QUAD_ORDER = 96
 MAX_REFINE_ROUNDS = 60
 # Step length, in grid cells, below which a seed counts as converged.
@@ -112,12 +114,12 @@ class OptimizationResult:
     gradient_norm: float
     capped_seeds: int
     # Every refined seed of thresholds below the ceiling, in refinement
-    # order, as ``(k, theta, beta, perr, trace, gradient_norm, capped)``
-    # tuples: the end point of each seed's refinement, its error, its audit
-    # trace, the norm of the grid-scaled gradient of ``perr`` there (on the
-    # optimizer's fixed rule), and whether it stopped on
-    # ``MAX_REFINE_ROUNDS`` still moving.  The winner is one of them; a
-    # lower ceiling's result picks among a prefix.
+    # order, as ``(k, theta, beta, perr, trace, gradient_norm, capped,
+    # order)`` tuples: each seed's end point, its certified error, its
+    # audit trace, the norm of the grid-scaled gradient there, whether it
+    # stopped on ``MAX_REFINE_ROUNDS`` still moving, and the order of the
+    # search rule it ended on.  The winner is one of them; a lower
+    # ceiling's result picks among a prefix.
     seeds: tuple[tuple, ...] = field(repr=False)
 
 
@@ -147,8 +149,7 @@ def _grid_scan(problem: OptimizationProblem, rule):
     So the table holds ``<F_K(mu)>`` for the ``n//2 + 1`` amplitudes of
     each symbol with ``cos(theta) >= 0``, one batch per node, and each cell
     gathers its two rows, with the beta axis reversed for ``alpha0`` where
-    ``cos(theta) < 0``.  The grid only seeds refinement, which re-evaluates
-    adaptively.
+    ``cos(theta) < 0``.  The grid only seeds refinement.
     """
     n, m = problem.grid_resolution, problem.beta_resolution
     s = math.sqrt(2.0 * problem.nbar)
@@ -206,17 +207,17 @@ def _select_seeds(perr: np.ndarray, nseeds: int) -> list[tuple[int, int, int]]:
 
 
 def _derivatives(nbar: float, k: int, theta: float, beta: float,
-                 scale: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of the ``bit1_high`` error probability at
-    threshold ``k``, in grid-scaled coordinates
-    ``(theta/scale[0], beta/scale[1])``, averaged on the optimizer's fixed
-    rule ``rule``.
+                 scale: np.ndarray, rule) -> tuple[float, np.ndarray, np.ndarray]:
+    """The ``bit1_high`` error probability at threshold ``k`` with its
+    gradient and Hessian in grid-scaled coordinates
+    ``(theta/scale[0], beta/scale[1])``, averaged on the search rule
+    ``rule`` from one batch of intensities, as ``(value, grad, hess)``.
 
     With ``a1 = s*sin(theta)``, ``a0 = s*cos(theta)`` and
     ``F(mu) = P(count <= k | mu)``, the ``bit1_high`` error is
     ``F(mu1)/2 + (1 - F(mu0))/2``; ``F' = -p_k`` and ``F'' = p_k - p_(k-1)``
-    give its derivatives by the chain rule.  The error itself is not formed
-    here: ``generalized_kennedy_detail`` is its one evaluator.
+    give its derivatives by the chain rule.  The value averages the
+    integrand of ``generalized_kennedy_detail``, equal to it at sigma = 0.
     """
     s = math.sqrt(2.0 * nbar)
     a = np.array([[s * math.sin(theta)], [s * math.cos(theta)]])  # alpha1, alpha0
@@ -241,7 +242,7 @@ def _derivatives(nbar: float, k: int, theta: float, beta: float,
     pt, pb, ptt, ptb, pbb = rule.average(0.5 * (terms[:, 0] - terms[:, 1]))
     grad = np.array([pt, pb]) * scale
     hess = np.array([[ptt, ptb], [ptb, pbb]]) * np.outer(scale, scale)
-    return grad, hess
+    return rule.average(_kennedy_error(k, mu)), grad, hess
 
 
 def _newton_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.ndarray:
@@ -265,91 +266,87 @@ def _newton_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.ndarra
 def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
             scale: np.ndarray, rule):
     """Damped Newton descent of the ``bit1_high`` error in (theta, beta)
-    from one grid seed.
+    from one grid seed, on the search rule, at first the fixed ``rule``.
 
     Coordinates are scaled by the grid steps ``scale``, so one unit is one
-    grid cell.  Each iteration takes ``_newton_step``: the Newton step of
-    the quadratic model built from ``_derivatives`` on the fixed rule
-    ``rule``, on the absolute values of its curvatures, and shortened to
-    the step cap ``radius`` of at most one cell.  If the step does not
-    lower the adaptively evaluated error, ``golden_minimize`` searches
-    along it.  The next cap is twice the accepted step, at most one cell,
-    and the seed has converged once the accepted step is shorter than
-    ``REFINE_TOLERANCE`` cells.
+    grid cell.  Each round takes ``_newton_step`` on the current point's
+    ``_derivatives``, capped at ``radius`` (at most one cell); if the step
+    does not lower the error, ``golden_minimize`` searches along it.  The
+    next cap is twice the accepted step, at most one cell, and the descent
+    stops once the accepted step is shorter than ``REFINE_TOLERANCE``
+    cells, or after ``MAX_REFINE_ROUNDS`` rounds.  Each evaluated point
+    keeps its ``_derivatives``, so none is computed twice.
 
-    Never regresses: a point is accepted only if its adaptive error is below
-    the best so far (the adaptively evaluated seed is iteration 0 of the
-    audit trace), so each reported value keeps its quadrature tolerance.
-    ``generalized_kennedy_detail`` is the one evaluator of the error.
+    The adaptive ``generalized_kennedy_detail`` at the end point certifies
+    it and is the seed's error.  Where the rule's value misses it by more
+    than ``quad_tolerance`` relative, the descent goes on, with a fresh
+    round budget, on the folded rule of twice the order, at most
+    ``MAX_ORDER``; a miss on that rule raises ``ConvergenceError``.
 
-    Returns ``(theta, beta, best, trace, gradient_norm, capped)`` for the
-    last accepted point, with the norm of the grid-scaled gradient there on
-    ``rule``: the last round's, taken again only if that round moved.
-    ``capped`` is whether the last round still moved at least
-    ``REFINE_TOLERANCE``, so a seed converging in round ``MAX_REFINE_ROUNDS``
-    is not capped.
+    Returns ``(theta, beta, perr, trace, gradient_norm, capped, order)``:
+    the end point, its certified error, the trace, the norm of the
+    grid-scaled gradient there on the last rule, whether the last round
+    still moved at least ``REFINE_TOLERANCE``, and that rule's order.
     """
+    theta, beta, order = theta0, beta0, GRID_QUAD_ORDER
+    value, grad, hess = _derivatives(problem.nbar, k, theta, beta, scale, rule)
+    trace = [(0, value)]
+    while True:
+        radius = 1.0
+        for iteration in range(len(trace), len(trace) + MAX_REFINE_ROUNDS):
+            step = _newton_step(grad, hess, radius)
+            length = math.hypot(*step)
+            moved = 0.0
+            if length >= REFINE_TOLERANCE:
+                dtheta, dbeta = step * scale
+                known = {0.0: (value, grad, hess)}  # by fraction of the step
 
-    def evaluate(theta: float, beta: float) -> float:
-        cfg = ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=problem.pnr_ceiling)
-        return generalized_kennedy_detail(
-            parametrize(theta, problem.nbar), cfg, problem.noise, problem.quad_tolerance
-        )[0]
-
-    theta, beta = theta0, beta0
-    best = evaluate(theta, beta)
-    trace = [(0, best)]
-    radius = 1.0
-    for iteration in range(1, MAX_REFINE_ROUNDS + 1):
-        grad, hess = _derivatives(problem.nbar, k, theta, beta, scale, rule)
-        step = _newton_step(grad, hess, radius)
-        length = math.hypot(*step)
-        moved = 0.0
-        if length >= REFINE_TOLERANCE:
-            dtheta, dbeta = step * scale
-            # The error at every evaluated fraction of the step; both ends
-            # are known: the current point and the full step.
-            known = {0.0: best, 1.0: evaluate(theta + dtheta, beta + dbeta)}
-            t = 1.0
-            if known[1.0] >= best:
                 def along(u: float) -> float:
                     if u not in known:
-                        known[u] = evaluate(theta + u * dtheta, beta + u * dbeta)
-                    return known[u]
+                        known[u] = _derivatives(problem.nbar, k, theta + u * dtheta,
+                                                beta + u * dbeta, scale, rule)
+                    return known[u][0]
 
-                t, _ = golden_minimize(along, 0.0, 1.0, xtol=REFINE_TOLERANCE / length)
-            if known[t] < best:
-                theta, beta, best = theta + t * dtheta, beta + t * dbeta, known[t]
-                moved = t * length
-        trace.append((iteration, best))
-        if moved < REFINE_TOLERANCE:
-            break
-        radius = min(1.0, 2.0 * moved)
-    if moved:
-        grad, _ = _derivatives(problem.nbar, k, theta, beta, scale, rule)
-    return theta, beta, best, trace, math.hypot(*grad), moved >= REFINE_TOLERANCE
+                t = 1.0
+                if along(1.0) >= value:
+                    t, _ = golden_minimize(along, 0.0, 1.0, xtol=REFINE_TOLERANCE / length)
+                if known[t][0] < value:
+                    theta, beta = theta + t * dtheta, beta + t * dbeta
+                    value, grad, hess = known[t]
+                    moved = t * length
+            trace.append((iteration, value))
+            if moved < REFINE_TOLERANCE:
+                break
+            radius = min(1.0, 2.0 * moved)
+        cfg = ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=problem.pnr_ceiling)
+        perr, _ = generalized_kennedy_detail(parametrize(theta, problem.nbar), cfg,
+                                             problem.noise, problem.quad_tolerance)
+        if abs(value - perr) <= problem.quad_tolerance * perr:
+            return (theta, beta, perr, tuple(trace), math.hypot(*grad),
+                    moved >= REFINE_TOLERANCE, order)
+        if order >= MAX_ORDER:
+            raise ConvergenceError(f"refinement rule of order {order} misses the adaptive error "
+                                   f"{perr!r} by more than {problem.quad_tolerance}", value, perr)
+        order = min(2 * order, MAX_ORDER)
+        rule = build_rule(problem.noise, order).fold_even()
+        value, grad, hess = _derivatives(problem.nbar, k, theta, beta, scale, rule)
 
 
 def _search(problem: OptimizationProblem) -> tuple:
     """Grid scan and refinement of every seed of thresholds
     ``0 .. pnr_ceiling - 1``, in refinement order, as
-    ``(k, theta, beta, perr, trace, gradient_norm, capped)`` tuples.
+    ``(k, theta, beta, perr, trace, gradient_norm, capped, order)`` tuples.
 
-    The one fixed rule of the search is folded onto phi >= 0: real
-    amplitudes and a real displacement make every integrand averaged on
-    it, the grid values and the Newton derivatives alike, even in phi.
-    Refinement's unit lengths are the grid steps.
+    Every rule of the search is folded onto phi >= 0: real amplitudes and
+    a real displacement make every integrand averaged on it, the grid
+    values and the Newton terms alike, even in phi.  Refinement's unit
+    lengths are the grid steps.
     """
     rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
     thetas, betas, grid_perr = _grid_scan(problem, rule)
     scale = np.array([thetas[1] - thetas[0], betas[1] - betas[0]])
-    seeds = []
-    for k, i, j in _select_seeds(grid_perr, REFINE_SEEDS):
-        theta, beta, perr, trace, norm, capped = _refine(
-            problem, k, float(thetas[i]), float(betas[j]), scale, rule
-        )
-        seeds.append((k, theta, beta, perr, tuple(trace), norm, capped))
-    return tuple(seeds)
+    return tuple((k, *_refine(problem, k, float(thetas[i]), float(betas[j]), scale, rule))
+                 for k, i, j in _select_seeds(grid_perr, REFINE_SEEDS))
 
 
 def _pick(problem: OptimizationProblem, seeds: tuple) -> OptimizationResult:
@@ -359,7 +356,7 @@ def _pick(problem: OptimizationProblem, seeds: tuple) -> OptimizationResult:
     within ``TIE_WINDOW`` of the best, relative to it."""
     candidates = tuple(s for s in seeds if s[0] < problem.pnr_ceiling)
     best_perr = min(s[3] for s in candidates)
-    k, theta, beta, perr, trace, gradient_norm, _ = min(
+    k, theta, beta, perr, trace, gradient_norm, *_ = min(
         (s for s in candidates if s[3] <= best_perr * (1.0 + TIE_WINDOW)),
         key=lambda s: (s[0], abs(s[2]), s[1], s[2]),
     )
@@ -382,7 +379,7 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     """Full deterministic search: exhaustive threshold scan, dense grid
     seeding, then damped Newton refinement of the best seeds of each
     threshold.  The winner is reported as its ``bit1_high`` twin, with the
-    error its refinement accepted, so ``(perr, BIT1_HIGH)`` equals
+    error that certified its refinement, so ``(perr, BIT1_HIGH)`` equals
     ``generalized_kennedy_detail`` at the reported configuration."""
     return _pick(problem, _search(problem))
 

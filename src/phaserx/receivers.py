@@ -192,6 +192,11 @@ def photocount_distribution(
     return PhotocountDistribution(probs=probs, tail_mass=max(1.0 - float(probs.sum()), 0.0))
 
 
+def _kennedy_error(k: int, mu: np.ndarray) -> np.ndarray:
+    """``generalized_kennedy_detail``'s integrand at intensities ``(mu1, mu0)``."""
+    return 0.5 * poisson_cdf(k, mu[0]) + 0.5 * pdtrc(k, mu[1])
+
+
 def generalized_kennedy_detail(
     c: BinaryConstellation,
     cfg: ReceiverConfig,
@@ -208,12 +213,10 @@ def generalized_kennedy_detail(
     ``(2, n)`` batch per set of phases.  The constant ``BIT1_HIGH`` label
     stays only because the benchmark unpacks it for ``simulate_perr``.
     """
-    k = cfg.threshold_k
     alphas = np.array([[c.alpha1], [c.alpha0]])
 
     def integrand(phases: np.ndarray) -> np.ndarray:
-        mu1, mu0 = displaced_intensity(alphas, cfg.beta, phases)
-        return 0.5 * poisson_cdf(k, mu1) + 0.5 * pdtrc(k, mu0)
+        return _kennedy_error(cfg.threshold_k, displaced_intensity(alphas, cfg.beta, phases))
 
     perr = average(noise, integrand, tolerance)
     return min(max(perr, 0.0), 1.0), BIT1_HIGH

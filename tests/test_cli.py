@@ -163,22 +163,22 @@ def test_sweep_sigma_blank_cells_for_failed_optimizations(tmp_path, capsys):
 
 
 def test_sweep_sigma_perr_sql_from_any_filled_cell(tmp_path, capsys):
-    # At nbar 2, sigma 1.2 only the PNR-8 optimization fails; perr_sql does
+    # At nbar 2, sigma 1.3 only the PNR-8 optimization fails; perr_sql does
     # not depend on the ceiling, so the PNR-1 and PNR-2 cells give it.
     out = tmp_path / "sweep.csv"
-    rc = main(["sweep-sigma", "--nbar", "2", "--sigma-min", "1.2", "--sigma-max", "1.2",
+    rc = main(["sweep-sigma", "--nbar", "2", "--sigma-min", "1.3", "--sigma-max", "1.3",
                "--step", "1", "--pnr-list", "1,2,8", "--output", str(out), *FAST_GRID])
     assert rc == EXIT_OK
     _, header, rows = read_csv(out)
     row = dict(zip(header, rows[0]))
     assert float(row["perr_sql"]) == pytest.approx(
-        min(perr_ook_dd(2.0), perr_bpsk_hom(2.0, PhaseNoise(1.2))), rel=1e-9)
+        min(perr_ook_dd(2.0), perr_bpsk_hom(2.0, PhaseNoise(1.3))), rel=1e-9)
     assert row["perr_pnr1"] and row["perr_pnr2"]
     blank = ["perr_helstrom_at_optimum", "perr_pnr8",
              "alpha0", "alpha1", "beta", "threshold_k", "orientation"]
     assert [row[c] for c in blank] == [""] * len(blank)
     warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
-    assert warnings == ["warning: optimization failed at sigma=1.2, pnr=8:"]
+    assert warnings == ["warning: optimization failed at sigma=1.3, pnr=8:"]
 
 
 SWEEP_ARGV = ["sweep-sigma", "--nbar", "2", "--sigma-max", "0.45", "--step", "0.15",

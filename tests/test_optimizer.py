@@ -20,7 +20,7 @@ from phaserx.optimizer import (
     optimize,
     sweep_sigma,
 )
-from phaserx.phasenoise import PhaseNoise, build_rule
+from phaserx.phasenoise import MAX_ORDER, ConvergenceError, PhaseNoise, build_rule
 from phaserx.receivers import (
     BIT1_HIGH,
     ReceiverConfig,
@@ -178,15 +178,97 @@ def test_sweep_rows_hold_each_distinct_ceiling_once_in_ascending_order():
 
 
 def test_sweep_fails_only_the_ceilings_that_fail_on_their_own():
-    # At nbar 2, sigma 1.2 the PNR-8 search meets a phase average that does
+    # At nbar 2, sigma 1.3 the PNR-8 search meets a phase average that does
     # not converge, while the PNR-1 and PNR-2 searches do not: their cells
     # are still filled, each by its own search.
-    [[low1, low2, top]] = sweep_sigma(2.0, [1.2], [1, 2, 8], **FAST)
+    [[low1, low2, top]] = sweep_sigma(2.0, [1.3], [1, 2, 8], **FAST)
     assert top.result is None
     assert "ConvergenceError" in top.error
     for cell in (low1, low2):
         assert cell.error is None
-        assert cell.result == optimize(fast_problem(2.0, 1.2, cell.pnr_ceiling))
+        assert cell.result == optimize(fast_problem(2.0, 1.3, cell.pnr_ceiling))
+
+
+# The orders of the search rules a seed refines on, in escalation order.
+SEARCH_ORDERS = [GRID_QUAD_ORDER, 2 * GRID_QUAD_ORDER, 4 * GRID_QUAD_ORDER, MAX_ORDER]
+
+
+def _optimize_counting_certificates(problem, monkeypatch):
+    """``optimize(problem)``, checking that refinement calls the adaptive
+    evaluator once per rule each seed ends a descent on: once per seed,
+    plus once per escalation."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return generalized_kennedy_detail(*args)
+
+    monkeypatch.setattr("phaserx.optimizer.generalized_kennedy_detail", counted)
+    res = optimize(problem)
+    assert len(calls) == sum(SEARCH_ORDERS.index(s[7]) + 1 for s in res.seeds)
+    return res
+
+
+def test_wide_sigma_search_certifies_only_its_end_points(monkeypatch):
+    """At nbar 2, sigma 1.2, PNR 8 refinement evaluates the adaptive error
+    only at each seed's end point, so no trial point's average can fail
+    the search, and the reported error is that certificate."""
+    problem = fast_problem(2.0, 1.2, 8)
+    res = _optimize_counting_certificates(problem, monkeypatch)
+    assert generalized_kennedy_detail(res.constellation, res.config, problem.noise) == (
+        res.perr, BIT1_HIGH)
+
+
+def _certificate(problem, seed):
+    """The adaptive error at a refined seed's end point."""
+    k, theta, beta = seed[:3]
+    cfg = ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=problem.pnr_ceiling)
+    x, _ = generalized_kennedy_detail(parametrize(theta, problem.nbar), cfg, problem.noise,
+                                      problem.quad_tolerance)
+    return x
+
+
+def test_a_seed_escalates_where_the_rule_misses_the_certificate(monkeypatch):
+    """At nbar 2, sigma 0.8, PNR 8 the fixed rule's error misses the
+    adaptive one by more than the tolerance at some end points; those seeds
+    go on on a finer rule, and every seed ends where the two agree."""
+    problem = fast_problem(2.0, 0.8, 8)
+    seeds = _optimize_counting_certificates(problem, monkeypatch).seeds
+    assert max(s[7] for s in seeds) > GRID_QUAD_ORDER
+    for seed in seeds:
+        perr, trace = seed[3], seed[4]
+        assert perr == _certificate(problem, seed)
+        assert abs(trace[-1][1] - perr) <= problem.quad_tolerance * perr
+
+
+def test_a_certificate_that_never_agrees_raises_at_the_order_cap(monkeypatch):
+    """A certificate 1e-6 off the search's error, far beyond the
+    tolerance, escalates every rule up to ``MAX_ORDER`` and then raises."""
+    orders = []
+
+    def detail(*args):
+        x, label = generalized_kennedy_detail(*args)
+        return x * (1.0 + 1e-6), label
+
+    def recording_build_rule(noise, order):
+        orders.append(order)
+        return build_rule(noise, order)
+
+    monkeypatch.setattr("phaserx.optimizer.generalized_kennedy_detail", detail)
+    monkeypatch.setattr("phaserx.optimizer.build_rule", recording_build_rule)
+    with pytest.raises(ConvergenceError, match=f"order {MAX_ORDER}"):
+        optimize(fast_problem(2.0, 0.3, 1))
+    assert orders == SEARCH_ORDERS
+
+
+@pytest.mark.parametrize("nbar, pnr", [(2.0, 8), (5.0, 1), (0.5, 3)])
+def test_noiseless_traces_end_on_the_reported_error(nbar, pnr):
+    """At sigma 0 the search rule and the certificate average the same
+    integrand at the one node phi = 0, so every seed's last trace value is
+    its error."""
+    for seed in optimize(fast_problem(nbar, 0.0, pnr)).seeds:
+        assert seed[4][-1][1] == seed[3]
+        assert seed[7] == GRID_QUAD_ORDER
 
 
 def test_sweep_records_failures_per_cell():
@@ -211,7 +293,7 @@ def test_pick_ties_seeds_within_the_relative_window():
     problem = fast_problem(2.0, 0.1, 2)
 
     def picked_k(perr0, perr1):
-        seeds = tuple((k, 0.8, 0.5, perr, ((0, perr),), 0.0, False)
+        seeds = tuple((k, 0.8, 0.5, perr, ((0, perr),), 0.0, False, GRID_QUAD_ORDER)
                       for k, perr in ((0, perr0), (1, perr1)))
         return _pick(problem, seeds).config.threshold_k
 
@@ -245,13 +327,16 @@ def test_sweep_validation(monkeypatch):
 @pytest.mark.parametrize("preferred, theta", [("bit1_high", 1.9), ("bit0_high", 0.35)])
 def test_derivative_terms_match_central_differences(sigma, k, preferred, theta):
     """The derivatives of the ``bit1_high`` error, both where it is the
-    better labelling and where its mirror twin is."""
+    better labelling and where its mirror twin is, and its value, which is
+    ``generalized_kennedy_detail``'s bit for bit at sigma = 0 and within
+    1e-14 relative on a 128-node rule.  (The 512-node rule is itself off
+    by 1.1e-14 relative at sigma 0.45, K 0, against mpmath.)"""
     nbar, h = 1.87, 1e-5
     s = math.sqrt(2.0 * nbar)
     # displace close to nulling the dim symbol, which fixes the preference
     beta = 0.1 - s * (math.cos(theta) if preferred == "bit1_high" else math.sin(theta))
     rule = build_rule(PhaseNoise(sigma), 128)
-    grad, hess = _derivatives(nbar, k, theta, beta, np.ones(2), rule)
+    value, grad, hess = _derivatives(nbar, k, theta, beta, np.ones(2), rule)
 
     def p(dt, db):
         """The ``bit1_high`` Kennedy error, averaged on ``rule``."""
@@ -266,6 +351,10 @@ def test_derivative_terms_match_central_differences(sigma, k, preferred, theta):
     x, _ = generalized_kennedy_detail(c, cfg, PhaseNoise(sigma))
     assert (perr_generalized_kennedy(c, cfg, PhaseNoise(sigma)) == x) == (preferred == "bit1_high")
     assert centre == pytest.approx(x, rel=1e-9)
+    if sigma == 0.0:
+        assert value == x
+    else:
+        assert abs(value - x) <= 1e-14 * x
     differences = [
         (p(1, 0) - p(-1, 0)) / (2 * h),
         (p(0, 1) - p(0, -1)) / (2 * h),
@@ -290,10 +379,10 @@ def _mirror_twin(theta, beta):
 @pytest.mark.parametrize("k", [0, 2, 7])
 @pytest.mark.parametrize("labelling", ["bit1_high", "bit0_high"])
 def test_folded_rule_steers_like_the_full_rule(sigma, k, labelling):
-    """The derivatives that steer refinement, on the optimizer's folded rule,
-    agree with the same-order full rule up to the rounding of the sum, for
-    each drawn receiver under either labelling: a ``bit0_high`` receiver is
-    steered at its ``bit1_high`` mirror twin."""
+    """The value and derivatives that steer refinement, on the optimizer's
+    folded rule, agree with the same-order full rule up to the rounding of
+    the sum, for each drawn receiver under either labelling: a
+    ``bit0_high`` receiver is steered at its ``bit1_high`` mirror twin."""
     full = build_rule(PhaseNoise(sigma), GRID_QUAD_ORDER)
     folded = full.fold_even()
     rng = np.random.default_rng(2031)
@@ -305,8 +394,8 @@ def test_folded_rule_steers_like_the_full_rule(sigma, k, labelling):
         scale = rng.uniform(0.01, 0.1, size=2)
 
         def terms(rule):
-            grad, hess = _derivatives(nbar, k, theta, beta, scale, rule)
-            return np.concatenate([grad, hess.ravel()])
+            value, grad, hess = _derivatives(nbar, k, theta, beta, scale, rule)
+            return np.concatenate([[value], grad, hess.ravel()])
 
         got, ref = terms(folded), terms(full)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -369,8 +458,8 @@ def test_refinement_converges_to_a_stationary_point(sigma, coordinate_search_per
     theta = math.atan2(c.alpha1.real, c.alpha0.real)
     scale = np.array([math.pi / problem.grid_resolution,
                       2.0 * problem.beta_max / (problem.beta_resolution - 1)])
-    grad, _ = _derivatives(problem.nbar, res.config.threshold_k, theta, res.config.beta.real,
-                           scale, build_rule(problem.noise, 512))
+    _, grad, _ = _derivatives(problem.nbar, res.config.threshold_k, theta,
+                              res.config.beta.real, scale, build_rule(problem.noise, 512))
     assert math.hypot(*grad) <= 1e-6 * res.perr
     assert res.gradient_norm <= 1e-6 * res.perr
 
@@ -384,20 +473,20 @@ def test_bright_noiseless_optimum_no_worse_than_coordinate_search():
 
 def test_every_seed_records_the_gradient_norm_at_its_end_point():
     """Each refined seed's sixth entry is the norm of the grid-scaled
-    gradient at its end point on the folded search rule, both where the
-    last round moved the point and where it did not; the result reports
-    the winner's."""
+    gradient at its end point on the folded search rule of the order its
+    last entry records, both where the last round moved the point and
+    where it did not; the result reports the winner's."""
     seen = {"capped": 0, "moved last": 0, "still last": 0}
     # all 5 seeds of the first problem are capped, and move in their last
     # round; the second problem's seeds converge
     for problem in (fast_problem(5.0, 0.0, 1), fast_problem(2.0, 0.2, 3)):
         res = optimize(problem)
-        rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
         thetas = np.linspace(0.0, math.pi, problem.grid_resolution, endpoint=False)
         betas = np.linspace(-problem.beta_max, problem.beta_max, problem.beta_resolution)
         scale = np.array([thetas[1] - thetas[0], betas[1] - betas[0]])
-        for k, theta, beta, _, trace, norm, capped in res.seeds:
-            grad, _ = _derivatives(problem.nbar, k, theta, beta, scale, rule)
+        for k, theta, beta, _, trace, norm, capped, order in res.seeds:
+            rule = build_rule(problem.noise, order).fold_even()
+            _, grad, _ = _derivatives(problem.nbar, k, theta, beta, scale, rule)
             assert norm == math.hypot(*grad)
             seen["capped"] += capped
             # an accepted move always lowers the error
