@@ -33,7 +33,6 @@ from .optimizer import (
 )
 from .phasenoise import ConvergenceError, PhaseNoise, QuadratureRule, average, build_rule
 from .receivers import (
-    BIT0_HIGH,
     BIT1_HIGH,
     PhotocountDistribution,
     ReceiverConfig,
@@ -49,7 +48,6 @@ from .receivers import (
 )
 
 __all__ = [
-    "BIT0_HIGH",
     "BIT1_HIGH",
     "BinaryConstellation",
     "ConvergenceError",

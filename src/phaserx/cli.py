@@ -38,12 +38,12 @@ from .constellation import (
 from .helstrom import optimize_helstrom, perr_helstrom, required_dim
 from .montecarlo import SCHEME_KENNEDY, TrialConfig, simulate_perr
 from .optimizer import NUMERICAL_FAILURES, OptimizationProblem, optimize, sweep_sigma
-from .phasenoise import PhaseNoise
+from .phasenoise import DEFAULT_TOLERANCE, PhaseNoise
 from .receivers import (
     BIT1_HIGH,
     ReceiverConfig,
+    generalized_kennedy_detail,
     perr_bpsk_hom,
-    perr_generalized_kennedy,
     perr_helstrom_noiseless,
     perr_ook_dd,
     photocount_distribution,
@@ -157,13 +157,14 @@ def _cmd_sweep_nbar(args) -> int:
         bpsk = make_bpsk(nb)
         # Kennedy: on-off detection after displacing the symbol -sqrt(nb) to vacuum
         kennedy = ReceiverConfig(beta=math.sqrt(nb), threshold_k=0, pnr_ceiling=1)
+        perr_kennedy, _ = generalized_kennedy_detail(bpsk, kennedy, noiseless)
         rows.append(
             [
                 _fmt(float(nbar)),
                 _fmt(psd_watts_per_hz(float(nbar), wavelength)),
                 _fmt(perr_ook_dd(nb)),
                 _fmt(perr_bpsk_hom(nb, noiseless)),
-                _fmt(perr_generalized_kennedy(bpsk, kennedy, noiseless)),
+                _fmt(perr_kennedy),
                 _fmt(perr_helstrom_noiseless(bpsk)),
             ]
         )
@@ -332,14 +333,14 @@ def _add_common(p: argparse.ArgumentParser, *, nbar: bool = True, sigma: bool = 
                    help="detector efficiency in [0, 1]; amplitudes are pre-scaled "
                         "by its square root (default 1)")
     if tolerance:
-        p.add_argument("--tolerance", type=float, default=1e-10,
+        p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                        help="relative tolerance of the phase-average quadrature")
 
 
 def _add_grid_knobs(p: argparse.ArgumentParser):
-    p.add_argument("--grid-resolution", type=int, default=181,
+    p.add_argument("--grid-resolution", type=int, default=OptimizationProblem.grid_resolution,
                    help="number of constellation-angle grid points")
-    p.add_argument("--beta-resolution", type=int, default=241,
+    p.add_argument("--beta-resolution", type=int, default=OptimizationProblem.beta_resolution,
                    help="number of displacement grid points")
 
 

@@ -37,7 +37,6 @@ from scipy.special import ndtri
 from .constellation import BinaryConstellation, check_count
 from .phasenoise import PhaseNoise
 from .receivers import (
-    BIT0_HIGH,
     BIT1_HIGH,
     _RECURRENCE_LIMIT,
     ReceiverConfig,
@@ -111,15 +110,15 @@ def simulate_perr(
 
     ``cfg`` is the receiver configuration for the photon-counting scheme, or
     the quadrature decision point (a float, usually 0, not nan; +-inf are
-    valid) for homodyne.  ``orientation`` selects which bit value is decoded
-    from the high side of the threshold (counts above K, or quadrature above
-    the decision point).  Each block counts the errors of the ``bit1_high``
-    rule; ``bit0_high`` flips every decision, so its block count is the
-    block's trials less that count.  The argument stays only because the
-    benchmark passes it ``generalized_kennedy_detail``'s constant label.
+    valid) for homodyne.  Each block counts the errors of the ``bit1_high``
+    rule: an outcome above K, or above the decision point, decodes bit 1; a
+    receiver labelled the other way is simulated as its twin, with the
+    symbols swapped.  ``orientation`` accepts only ``BIT1_HIGH``; it stays
+    because the benchmark passes ``generalized_kennedy_detail``'s constant
+    label, and goes with the benchmark change of ROADMAP item 15.
     """
-    if orientation not in (BIT1_HIGH, BIT0_HIGH):
-        raise ValueError(f"unknown orientation {orientation!r}")
+    if orientation != BIT1_HIGH:
+        raise ValueError(f"only the {BIT1_HIGH!r} rule is simulated, got {orientation!r}")
     if t.scheme == SCHEME_KENNEDY:
         if not isinstance(cfg, ReceiverConfig):
             raise TypeError("the photon-counting scheme needs a ReceiverConfig")
@@ -129,14 +128,9 @@ def simulate_perr(
             raise ValueError("the homodyne decision point must not be nan")
 
     errors = 0
-    done = 0
-    block = 0
-    while done < t.trials:
-        n = min(BLOCK_SIZE, t.trials - done)
-        found = _run_block(c, cfg, noise, t.seed + (block << 64), n, t.scheme)
-        errors += found if orientation == BIT1_HIGH else n - found
-        done += n
-        block += 1
+    for block, start in enumerate(range(0, t.trials, BLOCK_SIZE)):
+        n = min(BLOCK_SIZE, t.trials - start)
+        errors += _run_block(c, cfg, noise, t.seed + (block << 64), n, t.scheme)
 
     estimate = errors / t.trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / t.trials)

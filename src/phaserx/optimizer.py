@@ -49,7 +49,8 @@ import numpy as np
 from .constellation import BinaryConstellation, check_count, check_nbar, parametrize
 from .golden import golden_minimize
 from .helstrom import perr_helstrom
-from .phasenoise import MAX_ORDER, ConvergenceError, PhaseNoise, build_rule, check_tolerance
+from .phasenoise import (DEFAULT_TOLERANCE, MAX_ORDER, ConvergenceError, PhaseNoise,
+                         build_rule, check_tolerance)
 from .receivers import (
     ReceiverConfig,
     _kennedy_error,
@@ -83,7 +84,7 @@ class OptimizationProblem:
     pnr_ceiling: int
     grid_resolution: int = 181
     beta_resolution: int = 241
-    quad_tolerance: float = 1e-10
+    quad_tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
         check_nbar(self.nbar, positive=True)

@@ -31,6 +31,8 @@ from .constellation import check_count
 
 BASE_ORDER = 32
 MAX_ORDER = 512
+# The relative tolerance of every phase average that is not given one.
+DEFAULT_TOLERANCE = 1e-10
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -160,7 +162,7 @@ def build_rule(noise: PhaseNoise, order: int) -> QuadratureRule:
     return QuadratureRule(nodes=math.sqrt(2.0) * noise.sigma * t, weights=w / _SQRT_PI)
 
 
-def average(noise: PhaseNoise, f, tolerance: float = 1e-10) -> float | np.ndarray:
+def average(noise: PhaseNoise, f, tolerance: float = DEFAULT_TOLERANCE) -> float | np.ndarray:
     """Evaluate ``<f>_phi`` to a requested tolerance.
 
     ``f`` must accept an ndarray of phases and return the integrand values

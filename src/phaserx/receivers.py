@@ -18,12 +18,11 @@ import numpy as np
 from scipy.special import erfc, gammaln, pdtr, pdtrc, xlogy
 
 from .constellation import BinaryConstellation, check_amplitude, check_count, check_nbar
-from .phasenoise import PhaseNoise, average
+from .phasenoise import DEFAULT_TOLERANCE, PhaseNoise, average
 
-# Decision-rule orientations: which bit value is assigned to counts above
-# the threshold K.
+# The label of the one decision rule: counts above the threshold K decode
+# bit 1.
 BIT1_HIGH = "bit1_high"
-BIT0_HIGH = "bit0_high"
 # The largest mean the Poisson recurrence takes: -log(tiny) ~ 708.4, tiny
 # being the smallest normal double, so that exp(-mu) is a normal double too.
 _RECURRENCE_LIMIT = -math.log(sys.float_info.min)
@@ -149,7 +148,7 @@ def perr_ook_dd(nbar: float) -> float:
     return 0.5 * math.exp(-2.0 * nbar)
 
 
-def perr_bpsk_hom(nbar: float, noise: PhaseNoise, tolerance: float = 1e-10) -> float:
+def perr_bpsk_hom(nbar: float, noise: PhaseNoise, tolerance: float = DEFAULT_TOLERANCE) -> float:
     """BPSK with homodyne readout under phase noise.
 
     The quadrature integral over the x < 0 decision region is done in closed
@@ -170,7 +169,7 @@ def photocount_distribution(
     beta: complex,
     noise: PhaseNoise,
     truncation: int,
-    tolerance: float = 1e-10,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> PhotocountDistribution:
     """Photocount probabilities up to ``truncation``, tail mass by complement.
 
@@ -201,7 +200,7 @@ def generalized_kennedy_detail(
     c: BinaryConstellation,
     cfg: ReceiverConfig,
     noise: PhaseNoise,
-    tolerance: float = 1e-10,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> tuple[float, str]:
     """Error probability of the displaced photon-counting receiver.
 
@@ -226,7 +225,7 @@ def perr_generalized_kennedy(
     c: BinaryConstellation,
     cfg: ReceiverConfig,
     noise: PhaseNoise,
-    tolerance: float = 1e-10,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> float:
     """Error of the displaced PNR receiver under its better labelling,
     ``min(x, 1 - x)`` for ``generalized_kennedy_detail``'s error ``x``; the
@@ -235,7 +234,8 @@ def perr_generalized_kennedy(
     return min(x, 1.0 - x)
 
 
-def perr_sql_baseline(nbar: float, noise: PhaseNoise, tolerance: float = 1e-10) -> float:
+def perr_sql_baseline(nbar: float, noise: PhaseNoise,
+                      tolerance: float = DEFAULT_TOLERANCE) -> float:
     """Conventional-detection limit: best of OOK/DD and BPSK/homodyne.
 
     OOK/DD is immune to phase noise while BPSK/homodyne degrades with sigma,

@@ -110,10 +110,8 @@ def test_criterion_4_sampling_oracle_equivalence():
         c = parametrize(theta, nbar)
         cfg = ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=k + 1)
         noise = PhaseNoise(sigma)
-        perr, orientation = generalized_kennedy_detail(c, cfg, noise)
-        est, se = simulate_perr(
-            c, cfg, noise, TrialConfig(trials=10**7, seed=40 + i), orientation=orientation
-        )
+        perr, _ = generalized_kennedy_detail(c, cfg, noise)
+        est, se = simulate_perr(c, cfg, noise, TrialConfig(trials=10**7, seed=40 + i))
         z = (est - perr) / se if se > 0.0 else 0.0
         worst = max(worst, abs(z))
     report("4", worst <= 4.0, f"12 configs at 1e7 trials, worst |z| = {worst:.2f} (limit 4)")

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import shlex
 from pathlib import Path
@@ -140,7 +141,7 @@ def test_sweep_sigma_csv(tmp_path, capsys):
         assert float(row[3]) <= float(row[2]) * (1.0 + 1e-9)
         assert float(row[5]) <= float(row[4]) * (1.0 + 1e-9)
         int(row[9])
-        assert row[10] in ("bit1_high", "bit0_high")
+        assert row[10] == "bit1_high"
 
 
 def test_sweep_sigma_blank_cells_for_failed_optimizations(tmp_path, capsys):
@@ -253,6 +254,22 @@ def test_optimize_validate_without_errors_is_consistent(capsys):
     assert float(kv["validate_std_error"]) == pytest.approx(
         (perr * (1.0 - perr) / 1000) ** 0.5, rel=1e-9)
     assert abs(float(kv["validate_z"])) < 1e-2
+
+
+@pytest.mark.parametrize("nbar, z", [(5.0, "0.0000"), (1.0, "inf")])
+def test_optimize_validate_z_where_the_analytic_error_is_zero(nbar, z, monkeypatch, capsys):
+    """An analytic error of 0 has a standard error of 0: an estimate of 0
+    agrees with it, z = 0, and any error seen refutes it, z = inf."""
+    real = optimizer.optimize(optimizer.OptimizationProblem(
+        nbar=nbar, noise=PhaseNoise(0.0), pnr_ceiling=1, grid_resolution=31, beta_resolution=31))
+    monkeypatch.setattr(cli, "optimize", lambda problem: dataclasses.replace(real, perr=0.0))
+    rc = main(["optimize", "--nbar", str(nbar), "--sigma", "0", "--pnr", "1",
+               "--validate", "1000"])
+    assert rc == EXIT_OK
+    kv = parse_kv(capsys.readouterr().out)
+    assert float(kv["validate_std_error"]) == 0.0
+    assert (float(kv["validate_estimate"]) == 0.0) == (z == "0.0000")
+    assert kv["validate_z"] == z
 
 
 def test_efficiency_rescales_photon_number(capsys):

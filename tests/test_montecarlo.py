@@ -16,11 +16,11 @@ from phaserx.montecarlo import (
 )
 from phaserx.phasenoise import PhaseNoise
 from phaserx.receivers import (
-    BIT0_HIGH,
     _RECURRENCE_LIMIT,
     ReceiverConfig,
     generalized_kennedy_detail,
     perr_bpsk_hom,
+    perr_generalized_kennedy,
     perr_ook_dd,
     poisson_cdf,
 )
@@ -160,14 +160,19 @@ def test_multi_block_path():
     assert se == pytest.approx(math.sqrt(est * (1 - est) / t.trials), rel=1e-12)
 
 
-def test_orientation_flip_complements_errors():
-    """Flipping the decode orientation flips every decision on the same draws."""
-    c = make_ook(1.0)
-    cfg = ReceiverConfig(beta=0.0, threshold_k=0, pnr_ceiling=1)
-    t = TrialConfig(trials=50_000, seed=9)
-    est, _ = simulate_perr(c, cfg, NOISELESS, t)
-    flipped, _ = simulate_perr(c, cfg, NOISELESS, t, orientation=BIT0_HIGH)
-    assert est + flipped == pytest.approx(1.0, abs=1e-12)
+def test_mirror_labelled_receiver_is_simulated_as_its_twin():
+    """The near-OOK receiver whose bright symbol carries bit 0 is decoded
+    better the other way round; the simulator counts ``bit1_high`` errors
+    only, so it runs the twin, the same receiver with the symbols swapped,
+    whose error is the mirror-labelled receiver's."""
+    c = BinaryConstellation(-1.9, 0.15)
+    cfg = ReceiverConfig(beta=-0.12, threshold_k=0, pnr_ceiling=8)
+    noise = PhaseNoise(0.45)
+    twin = BinaryConstellation(c.alpha1, c.alpha0)
+    perr, _ = generalized_kennedy_detail(twin, cfg, noise)
+    assert perr == pytest.approx(perr_generalized_kennedy(c, cfg, noise), rel=1e-12)
+    est, se = simulate_perr(twin, cfg, noise, TrialConfig(trials=200_000, seed=9))
+    assert abs(est - perr) < 5.0 * se
 
 
 def test_scheme_and_orientation_guards():
@@ -175,8 +180,10 @@ def test_scheme_and_orientation_guards():
     with pytest.raises(TypeError):
         simulate_perr(c, 0.0, NOISELESS, TrialConfig(trials=10, seed=0))
     cfg = ReceiverConfig(beta=0.0, threshold_k=0, pnr_ceiling=1)
-    with pytest.raises(ValueError):
-        simulate_perr(c, cfg, NOISELESS, TrialConfig(trials=10, seed=0), orientation="sideways")
+    # one rule is simulated: a label other than ``bit1_high`` is refused
+    for bad in ("sideways", "bit0_high"):
+        with pytest.raises(ValueError):
+            simulate_perr(c, cfg, NOISELESS, TrialConfig(trials=10, seed=0), orientation=bad)
     # every comparison with nan is false, so a nan decision point would decode
     # every trial low; it is refused, while +-inf decode every trial one way
     homodyne = TrialConfig(trials=1000, seed=1, scheme=SCHEME_HOMODYNE)
@@ -214,7 +221,7 @@ def test_displaced_counting_with_phase_noise_agrees():
     c = BinaryConstellation(-1.9, 0.15)
     cfg = ReceiverConfig(beta=-0.12, threshold_k=1, pnr_ceiling=3)
     noise = PhaseNoise(0.45)
-    perr, orientation = generalized_kennedy_detail(c, cfg, noise)
+    perr, _ = generalized_kennedy_detail(c, cfg, noise)
     t = TrialConfig(trials=1_000_000, seed=24, scheme=SCHEME_KENNEDY)
-    est, se = simulate_perr(c, cfg, noise, t, orientation=orientation)
+    est, se = simulate_perr(c, cfg, noise, t)
     assert abs(est - perr) < 5.0 * se
