@@ -241,8 +241,8 @@ def _cmd_optimize(args) -> int:
     print(f"perr_sql = {_fmt(result.perr_sql)}")
     print(f"perr_helstrom = {_fmt(result.perr_helstrom)}")
     print(f"sub_sql = {str(result.perr < result.perr_sql).lower()}")
-    print(f"gradient_norm = {_fmt(result.gradient_norm)}")
-    print(f"capped_seeds = {result.capped_seeds}")
+    print(f"gradient_norm = {_fmt(result.winner.gradient_norm)}")
+    print(f"capped_seeds = {sum(s.capped for s in result.seeds)}")
 
     if trials is not None:
         estimate, _ = simulate_perr(result.constellation, result.config,
@@ -262,7 +262,7 @@ def _cmd_optimize(args) -> int:
     if args.trace_output:
         with _open_output(args.trace_output) as fh:
             _write_csv(fh, "optimize-trace", args, ["iteration", "perr"],
-                       ([str(i), _fmt(p)] for i, p in result.trace))
+                       ([str(i), _fmt(p)] for i, p in result.winner.trace))
     return EXIT_OK
 
 

@@ -43,6 +43,7 @@ import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +98,23 @@ class OptimizationProblem:
         return 3.0 * math.sqrt(2.0 * self.nbar)
 
 
+class Seed(NamedTuple):
+    """One refined grid seed: threshold ``k``, end point ``(theta, beta)``,
+    certified error ``perr``, audit ``trace`` of (round, search-rule error)
+    pairs, the grid-scaled gradient's norm at the end point on the last
+    search rule, whether it stopped on ``MAX_REFINE_ROUNDS`` still moving,
+    and that rule's ``order``."""
+
+    k: int
+    theta: float
+    beta: float
+    perr: float
+    trace: tuple[tuple[int, float], ...]
+    gradient_norm: float
+    capped: bool
+    order: int
+
+
 @dataclass(frozen=True)
 class OptimizationResult:
     """Best receiver found, with the baselines it is judged against."""
@@ -108,20 +126,10 @@ class OptimizationResult:
     perr: float
     perr_sql: float
     perr_helstrom: float
-    trace: tuple[tuple[int, float], ...] = field(repr=False)
-    # The winning seed's gradient norm (see ``seeds``), and how many
-    # refinement seeds stopped on ``MAX_REFINE_ROUNDS`` instead of
-    # converging.
-    gradient_norm: float
-    capped_seeds: int
-    # Every refined seed of thresholds below the ceiling, in refinement
-    # order, as ``(k, theta, beta, perr, trace, gradient_norm, capped,
-    # order)`` tuples: each seed's end point, its certified error, its
-    # audit trace, the norm of the grid-scaled gradient there, whether it
-    # stopped on ``MAX_REFINE_ROUNDS`` still moving, and the order of the
-    # search rule it ended on.  The winner is one of them; a lower
-    # ceiling's result picks among a prefix.
-    seeds: tuple[tuple, ...] = field(repr=False)
+    # The reported seed, and every refined seed below the ceiling (the winner
+    # among them) in refinement order: a lower ceiling picks among a prefix.
+    winner: Seed = field(repr=False)
+    seeds: tuple[Seed, ...] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -284,10 +292,7 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
     round budget, on the folded rule of twice the order, at most
     ``MAX_ORDER``; a miss on that rule raises ``ConvergenceError``.
 
-    Returns ``(theta, beta, perr, trace, gradient_norm, capped, order)``:
-    the end point, its certified error, the trace, the norm of the
-    grid-scaled gradient there on the last rule, whether the last round
-    still moved at least ``REFINE_TOLERANCE``, and that rule's order.
+    Returns the fields of ``Seed`` after ``k``, in their order.
     """
     theta, beta, order = theta0, beta0, GRID_QUAD_ORDER
     value, grad, hess = _derivatives(problem.nbar, k, theta, beta, scale, rule)
@@ -333,10 +338,8 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
         value, grad, hess = _derivatives(problem.nbar, k, theta, beta, scale, rule)
 
 
-def _search(problem: OptimizationProblem) -> tuple:
-    """Grid scan and refinement of every seed of thresholds
-    ``0 .. pnr_ceiling - 1``, in refinement order, as
-    ``(k, theta, beta, perr, trace, gradient_norm, capped, order)`` tuples.
+def _search(problem: OptimizationProblem) -> tuple[Seed, ...]:
+    """Grid scan and refinement of every seed below the ceiling, in order.
 
     Every rule of the search is folded onto phi >= 0: real amplitudes and
     a real displacement make every integrand averaged on it, the grid
@@ -346,32 +349,29 @@ def _search(problem: OptimizationProblem) -> tuple:
     rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
     thetas, betas, grid_perr = _grid_scan(problem, rule)
     scale = np.array([thetas[1] - thetas[0], betas[1] - betas[0]])
-    return tuple((k, *_refine(problem, k, float(thetas[i]), float(betas[j]), scale, rule))
+    return tuple(Seed(k, *_refine(problem, k, float(thetas[i]), float(betas[j]), scale, rule))
                  for k, i, j in _select_seeds(grid_perr, REFINE_SEEDS))
 
 
-def _pick(problem: OptimizationProblem, seeds: tuple) -> OptimizationResult:
+def _pick(problem: OptimizationProblem, seeds: tuple[Seed, ...]) -> OptimizationResult:
     """The result at ``problem``'s ceiling: the best of the refined
     ``seeds`` with ``k < pnr_ceiling`` under the tie-break, with its own
     ``perr_sql`` and ``perr_helstrom``.  Seeds tie when their errors are
     within ``TIE_WINDOW`` of the best, relative to it."""
-    candidates = tuple(s for s in seeds if s[0] < problem.pnr_ceiling)
-    best_perr = min(s[3] for s in candidates)
-    k, theta, beta, perr, trace, gradient_norm, *_ = min(
-        (s for s in candidates if s[3] <= best_perr * (1.0 + TIE_WINDOW)),
-        key=lambda s: (s[0], abs(s[2]), s[1], s[2]),
-    )
+    candidates = tuple(s for s in seeds if s.k < problem.pnr_ceiling)
+    best_perr = min(s.perr for s in candidates)
+    winner = min((s for s in candidates if s.perr <= best_perr * (1.0 + TIE_WINDOW)),
+                 key=lambda s: (s.k, abs(s.beta), s.theta, s.beta))
 
-    constellation = parametrize(theta, problem.nbar)
+    constellation = parametrize(winner.theta, problem.nbar)
     return OptimizationResult(
         constellation=constellation,
-        config=ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=problem.pnr_ceiling),
-        perr=perr,
+        config=ReceiverConfig(beta=winner.beta, threshold_k=winner.k,
+                              pnr_ceiling=problem.pnr_ceiling),
+        perr=winner.perr,
         perr_sql=perr_sql_baseline(problem.nbar, problem.noise, problem.quad_tolerance),
         perr_helstrom=perr_helstrom(constellation, problem.noise),
-        trace=trace,
-        gradient_norm=gradient_norm,
-        capped_seeds=sum(s[6] for s in candidates),
+        winner=winner,
         seeds=candidates,
     )
 
@@ -406,11 +406,11 @@ def _sweep_row(problems: list[OptimizationProblem]) -> list[SweepCell]:
 
     Nothing in a threshold's grid slice, seeds or refinement depends on the
     ceiling, so the top result's ``seeds`` hold every refined seed that a
-    lower ceiling's ``optimize`` would refine, in the same order, each with
-    its gradient norm; picking among them, with the cell's own baselines,
-    gives that ``optimize`` field for field.  If the top search fails
-    numerically, each lower ceiling runs its own ``optimize``, so a cell
-    fails exactly when its own search does.
+    lower ceiling's ``optimize`` would refine, in the same order; picking
+    among them, with the cell's own baselines, gives that ``optimize``
+    field for field.  If the top search fails numerically, each lower
+    ceiling runs its own ``optimize``, so a cell fails exactly when its own
+    search does.
     """
     *lower, highest = problems
     top = _sweep_cell(highest)

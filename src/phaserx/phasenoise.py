@@ -102,11 +102,11 @@ class QuadratureRule:
 
         ``values`` of shape ``(n,)``, for the ``n`` nodes, give a float; a
         stack of shape ``(m, n)`` gives the ``m`` weighted sums along the
-        last axis.
+        last axis, each row summed alone, bit for bit its own average.
         """
         if values.ndim == 1:
             return float(np.dot(self.weights, values))
-        return values @ self.weights
+        return (values[..., None, :] @ self.weights)[..., 0]
 
     def fold_even(self) -> QuadratureRule:
         """The rule for integrands even in phi, ``f(-phi) == f(phi)``.

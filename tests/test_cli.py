@@ -212,7 +212,16 @@ def test_sweep_sigma_runs_one_optimize_per_sigma(tmp_path, monkeypatch):
     assert len(read_csv(out)[2]) == 4
 
 
-def test_optimize_report_and_trace(tmp_path, capsys):
+def test_optimize_report_and_trace(tmp_path, capsys, monkeypatch):
+    """The report's seed lines and the trace CSV come from the result's
+    ``winner`` and ``seeds``."""
+    results = []
+
+    def recorded(problem):
+        results.append(optimizer.optimize(problem))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "optimize", recorded)
     trace = tmp_path / "trace.csv"
     rc = main(["optimize", "--nbar", "2", "--sigma", "0.45", "--pnr", "2",
                "--trace-output", str(trace), *FAST_GRID])
@@ -229,6 +238,10 @@ def test_optimize_report_and_trace(tmp_path, capsys):
     assert header == ["iteration", "perr"]
     perrs = [float(r[1]) for r in rows]
     assert all(a >= b - 1e-15 for a, b in zip(perrs, perrs[1:]))
+    [result] = results
+    assert kv["gradient_norm"] == cli._fmt(result.winner.gradient_norm)
+    assert kv["capped_seeds"] == str(sum(s.capped for s in result.seeds))
+    assert rows == [[str(i), cli._fmt(p)] for i, p in result.winner.trace]
 
 
 def test_optimize_validate_zscore(capsys):

@@ -12,6 +12,7 @@ from phaserx.optimizer import (
     REFINE_SEEDS,
     TIE_WINDOW,
     OptimizationProblem,
+    Seed,
     _derivatives,
     _grid_scan,
     _newton_step,
@@ -119,10 +120,10 @@ def test_vanishing_signal_approaches_coin_toss():
 
 def test_trace_is_monotone_audit():
     res = optimize(fast_problem(2.0, 0.2, 2))
-    perrs = [p for _, p in res.trace]
+    perrs = [p for _, p in res.winner.trace]
     assert perrs[0] >= perrs[-1]
     assert all(a >= b - 1e-15 for a, b in zip(perrs, perrs[1:]))
-    assert res.trace[0][0] == 0
+    assert res.winner.trace[0][0] == 0
 
 
 def test_sweep_grid_order_and_pnr_nesting():
@@ -205,7 +206,7 @@ def _optimize_counting_certificates(problem, monkeypatch):
 
     monkeypatch.setattr("phaserx.optimizer.generalized_kennedy_detail", counted)
     res = optimize(problem)
-    assert len(calls) == sum(SEARCH_ORDERS.index(s[7]) + 1 for s in res.seeds)
+    assert len(calls) == sum(SEARCH_ORDERS.index(s.order) + 1 for s in res.seeds)
     return res
 
 
@@ -221,9 +222,8 @@ def test_wide_sigma_search_certifies_only_its_end_points(monkeypatch):
 
 def _certificate(problem, seed):
     """The adaptive error at a refined seed's end point."""
-    k, theta, beta = seed[:3]
-    cfg = ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=problem.pnr_ceiling)
-    x, _ = generalized_kennedy_detail(parametrize(theta, problem.nbar), cfg, problem.noise,
+    cfg = ReceiverConfig(beta=seed.beta, threshold_k=seed.k, pnr_ceiling=problem.pnr_ceiling)
+    x, _ = generalized_kennedy_detail(parametrize(seed.theta, problem.nbar), cfg, problem.noise,
                                       problem.quad_tolerance)
     return x
 
@@ -234,11 +234,10 @@ def test_a_seed_escalates_where_the_rule_misses_the_certificate(monkeypatch):
     go on on a finer rule, and every seed ends where the two agree."""
     problem = fast_problem(2.0, 0.8, 8)
     seeds = _optimize_counting_certificates(problem, monkeypatch).seeds
-    assert max(s[7] for s in seeds) > GRID_QUAD_ORDER
+    assert max(s.order for s in seeds) > GRID_QUAD_ORDER
     for seed in seeds:
-        perr, trace = seed[3], seed[4]
-        assert perr == _certificate(problem, seed)
-        assert abs(trace[-1][1] - perr) <= problem.quad_tolerance * perr
+        assert seed.perr == _certificate(problem, seed)
+        assert abs(seed.trace[-1][1] - seed.perr) <= problem.quad_tolerance * seed.perr
 
 
 def test_a_certificate_that_never_agrees_raises_at_the_order_cap(monkeypatch):
@@ -267,8 +266,20 @@ def test_noiseless_traces_end_on_the_reported_error(nbar, pnr):
     integrand at the one node phi = 0, so every seed's last trace value is
     its error."""
     for seed in optimize(fast_problem(nbar, 0.0, pnr)).seeds:
-        assert seed[4][-1][1] == seed[3]
-        assert seed[7] == GRID_QUAD_ORDER
+        assert seed.trace[-1][1] == seed.perr
+        assert seed.order == GRID_QUAD_ORDER
+
+
+@pytest.mark.xfail(raises=ConvergenceError, strict=True,
+                   reason="one losing seed whose certificate does not converge fails the "
+                   "whole search (CHANGES.md, FOUND on optimizer._refine; ROADMAP item 6)")
+def test_a_losing_seed_does_not_fail_the_search():
+    """Tripwire: at nbar 2, sigma 1.3 the PNR-2 search certifies its K = 0
+    winner, and the PNR-8 search refines every one of its seeds, so it can
+    do no worse; today the adaptive certificate of a K = 6 seed misses the
+    tolerance at order 512 and the search raises."""
+    lower = optimize(fast_problem(2.0, 1.3, 2))
+    assert optimize(fast_problem(2.0, 1.3, 8)).perr <= lower.perr
 
 
 def test_sweep_records_failures_per_cell():
@@ -286,14 +297,15 @@ def test_bright_optimum_reports_its_best_seed():
     rather than equals it."""
     result = optimize(fast_problem(10.0, 0.005, 4))
     assert result.config.threshold_k == 3
-    assert result.perr <= min(s[3] for s in result.seeds) * (1.0 + TIE_WINDOW)
+    assert result.perr <= min(s.perr for s in result.seeds) * (1.0 + TIE_WINDOW)
 
 
 def test_pick_ties_seeds_within_the_relative_window():
     problem = fast_problem(2.0, 0.1, 2)
 
     def picked_k(perr0, perr1):
-        seeds = tuple((k, 0.8, 0.5, perr, ((0, perr),), 0.0, False, GRID_QUAD_ORDER)
+        seeds = tuple(Seed(k=k, theta=0.8, beta=0.5, perr=perr, trace=((0, perr),),
+                           gradient_norm=0.0, capped=False, order=GRID_QUAD_ORDER)
                       for k, perr in ((0, perr0), (1, perr1)))
         return _pick(problem, seeds).config.threshold_k
 
@@ -452,7 +464,7 @@ def test_refinement_converges_to_a_stationary_point(sigma, coordinate_search_per
     reached (``coordinate_search_perr``)."""
     problem = OptimizationProblem(nbar=2.0, noise=PhaseNoise(sigma), pnr_ceiling=8)
     res = optimize(problem)
-    assert res.capped_seeds == 0
+    assert not any(s.capped for s in res.seeds)
     assert res.perr <= coordinate_search_perr
     c = res.constellation
     theta = math.atan2(c.alpha1.real, c.alpha0.real)
@@ -461,7 +473,7 @@ def test_refinement_converges_to_a_stationary_point(sigma, coordinate_search_per
     _, grad, _ = _derivatives(problem.nbar, res.config.threshold_k, theta,
                               res.config.beta.real, scale, build_rule(problem.noise, 512))
     assert math.hypot(*grad) <= 1e-6 * res.perr
-    assert res.gradient_norm <= 1e-6 * res.perr
+    assert res.winner.gradient_norm <= 1e-6 * res.perr
 
 
 def test_bright_noiseless_optimum_no_worse_than_coordinate_search():
@@ -472,10 +484,10 @@ def test_bright_noiseless_optimum_no_worse_than_coordinate_search():
 
 
 def test_every_seed_records_the_gradient_norm_at_its_end_point():
-    """Each refined seed's sixth entry is the norm of the grid-scaled
-    gradient at its end point on the folded search rule of the order its
-    last entry records, both where the last round moved the point and
-    where it did not; the result reports the winner's."""
+    """Each refined seed's ``gradient_norm`` is the norm of the grid-scaled
+    gradient at its end point on the folded search rule of its ``order``,
+    both where the last round moved the point and where it did not; the
+    result reports the winner's."""
     seen = {"capped": 0, "moved last": 0, "still last": 0}
     # all 5 seeds of the first problem are capped, and move in their last
     # round; the second problem's seeds converge
@@ -484,17 +496,33 @@ def test_every_seed_records_the_gradient_norm_at_its_end_point():
         thetas = np.linspace(0.0, math.pi, problem.grid_resolution, endpoint=False)
         betas = np.linspace(-problem.beta_max, problem.beta_max, problem.beta_resolution)
         scale = np.array([thetas[1] - thetas[0], betas[1] - betas[0]])
-        for k, theta, beta, _, trace, norm, capped, order in res.seeds:
-            rule = build_rule(problem.noise, order).fold_even()
-            _, grad, _ = _derivatives(problem.nbar, k, theta, beta, scale, rule)
-            assert norm == math.hypot(*grad)
-            seen["capped"] += capped
+        for seed in res.seeds:
+            rule = build_rule(problem.noise, seed.order).fold_even()
+            _, grad, _ = _derivatives(problem.nbar, seed.k, seed.theta, seed.beta, scale, rule)
+            assert seed.gradient_norm == math.hypot(*grad)
+            seen["capped"] += seed.capped
             # an accepted move always lowers the error
+            trace = seed.trace
             seen["moved last" if trace[-1][1] < trace[-2][1] else "still last"] += 1
-        winner = [s for s in res.seeds if (s[0], s[2], s[3], s[4]) == (
-            res.config.threshold_k, res.config.beta, res.perr, res.trace)]
-        assert winner and all(s[5] == res.gradient_norm for s in winner)
+        winner = [s for s in res.seeds if (s.k, s.beta, s.perr, s.trace) == (
+            res.config.threshold_k, res.config.beta, res.perr, res.winner.trace)]
+        assert winner and all(s.gradient_norm == res.winner.gradient_norm for s in winner)
     assert all(seen.values()), seen
+
+
+def test_the_winner_is_a_seed_and_is_what_the_result_reports():
+    """``winner`` is one of ``seeds``, and the reported configuration,
+    error and constellation are its fields, also at a lower ceiling picked
+    among a higher ceiling's seeds."""
+    high, low = fast_problem(2.0, 0.45, 8), fast_problem(2.0, 0.45, 1)
+    top = optimize(high)
+    for problem, res in ((high, top), (low, _pick(low, top.seeds))):
+        w = res.winner
+        assert w in res.seeds
+        assert res.config == ReceiverConfig(beta=w.beta, threshold_k=w.k,
+                                            pnr_ceiling=problem.pnr_ceiling)
+        assert res.perr == w.perr
+        assert res.constellation == parametrize(w.theta, problem.nbar)
 
 
 def test_a_seed_converging_in_the_last_round_is_not_capped(monkeypatch):
@@ -502,14 +530,14 @@ def test_a_seed_converging_in_the_last_round_is_not_capped(monkeypatch):
     seed is not capped: only the seeds still moving at the cap are."""
     problem = fast_problem(2.0, 0.2, 3)
     free = optimize(problem).seeds
-    last = max(s[4][-1][0] for s in free)
-    assert last < MAX_REFINE_ROUNDS and not any(s[6] for s in free)
+    last = max(s.trace[-1][0] for s in free)
+    assert last < MAX_REFINE_ROUNDS and not any(s.capped for s in free)
     monkeypatch.setattr("phaserx.optimizer.MAX_REFINE_ROUNDS", last)
     res = optimize(problem)
     # the cap changes no trace, and the seeds that end in round ``last``
     # converged there
-    assert [s[4] for s in res.seeds] == [s[4] for s in free]
-    assert not any(s[6] for s in res.seeds) and res.capped_seeds == 0
+    assert [s.trace for s in res.seeds] == [s.trace for s in free]
+    assert not any(s.capped for s in res.seeds)
 
 
 @pytest.mark.xfail(reason="refinement stops on the round cap short of a "
@@ -519,8 +547,8 @@ def test_default_knobs_reach_a_stationary_point(nbar, sigma):
     """Tripwire for the stationarity gate: the noiseless valley at nbar 5
     and the vanishing signal at nbar 1e-4 each cap all 5 seeds today."""
     res = optimize(OptimizationProblem(nbar=nbar, noise=PhaseNoise(sigma), pnr_ceiling=1))
-    assert res.capped_seeds == 0
-    assert res.gradient_norm <= 1e-6 * res.perr
+    assert not any(s.capped for s in res.seeds)
+    assert res.winner.gradient_norm <= 1e-6 * res.perr
 
 
 def _grid_scan_per_cell(problem, rule, thetas, betas):

@@ -6,7 +6,7 @@ from scipy.special import pdtrc
 from scipy.stats import poisson
 
 from phaserx.constellation import BinaryConstellation, make_bpsk, make_ook, parametrize
-from phaserx.phasenoise import PhaseNoise, average
+from phaserx.phasenoise import PhaseNoise, average, build_rule
 from phaserx.receivers import (
     BIT1_HIGH,
     ReceiverConfig,
@@ -148,6 +148,39 @@ def test_photocount_tail_mass_is_never_negative():
     dist = photocount_distribution(0.5, 0.0, PhaseNoise(0.1), truncation=40)
     assert dist.tail_mass == 0.0
     assert abs(dist.probs.sum() + dist.tail_mass - 1.0) < 1e-14
+
+
+def test_photocount_probabilities_do_not_depend_on_the_truncation(monkeypatch):
+    """p_k at truncations 3, 6, 15 and 30 equal truncation 10's bit for bit
+    on their shared k wherever both ladders stop at the same order: each
+    row of a stacked average is summed alone, where a matrix-vector
+    product over 4 or more rows rounded it differently with the stack's
+    height.  A ladder stops once every component agrees, so a truncation
+    whose extra components need a finer rule ends on another order; at
+    most 4 of the 80 pairs may, and they are skipped."""
+    orders = []
+
+    def recording(noise, order):
+        orders.append(order)
+        return build_rule(noise, order)
+
+    def probs(alpha, beta, noise, truncation):
+        orders.clear()
+        return photocount_distribution(alpha, beta, noise, truncation).probs, max(orders)
+
+    monkeypatch.setattr("phaserx.phasenoise.build_rule", recording)
+    rng = np.random.default_rng(20)
+    compared = 0
+    for _ in range(20):
+        alpha, beta, sigma = rng.uniform(0.2, 2.5), rng.uniform(-2.0, 2.0), rng.uniform(0.1, 0.45)
+        ref, ref_order = probs(alpha, beta, PhaseNoise(sigma), 10)
+        for truncation in (3, 6, 15, 30):
+            got, order = probs(alpha, beta, PhaseNoise(sigma), truncation)
+            if order == ref_order:
+                shared = min(truncation, 10) + 1
+                assert np.array_equal(got[:shared], ref[:shared]), (alpha, beta, sigma, truncation)
+                compared += 1
+    assert compared >= 76
 
 
 def test_photocount_validation():
