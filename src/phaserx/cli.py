@@ -9,7 +9,12 @@ and ``helstrom`` take no ``--tolerance``: every average of ``sweep-nbar`` is
 at sigma 0, where the one-node rule is exact, and ``helstrom`` takes its
 phase average in closed form.  Data rows are plain comma-separated values
 with at least 10 significant digits, and re-running a command with the
-same flags reproduces them byte for byte.
+same flags reproduces them byte for byte.  An optimized end point
+(``alpha0``, ``alpha1``, ``beta`` and ``perr_helstrom_at_optimum``) is
+fixed only to about 1e-9, though: ``REFINE_TOLERANCE`` bounds the last
+refinement step, not the distance to the optimum, so a rounding change
+can move those columns in their last digits.  ``perr`` is the certified
+value.
 
 Exit codes: 0 success, 2 usage error (a size too large to allocate, or a
 magnitude too large to represent, is one), 3 I/O error, 4 numerical failure.
@@ -35,7 +40,7 @@ from .constellation import (
     parametrize,
     psd_watts_per_hz,
 )
-from .helstrom import optimize_helstrom, perr_helstrom, required_dim
+from .helstrom import fock_dim, optimize_helstrom, perr_helstrom
 from .montecarlo import SCHEME_KENNEDY, TrialConfig, simulate_perr
 from .optimizer import NUMERICAL_FAILURES, OptimizationProblem, optimize, sweep_sigma
 from .phasenoise import DEFAULT_TOLERANCE, PhaseNoise
@@ -283,10 +288,17 @@ def _cmd_pk(args) -> int:
 
 
 def _cmd_helstrom(args) -> int:
+    explicit = args.alpha0 is not None or args.alpha1 is not None
+    if explicit + (args.theta is not None) + args.optimize_constellation > 1:
+        raise ValueError("give one constellation source: --alpha0 and --alpha1, "
+                         "--theta, or --optimize-constellation")
+    if explicit and (args.alpha0 is None or args.alpha1 is None):
+        raise ValueError("--alpha0 and --alpha1 must be given together")
+    if explicit == (args.nbar is not None):
+        raise ValueError("give --nbar with --theta (the default source) or "
+                         "--optimize-constellation, and not with --alpha0 and --alpha1")
     noise = PhaseNoise(args.sigma)
-    if args.alpha0 is not None or args.alpha1 is not None:
-        if args.alpha0 is None or args.alpha1 is None:
-            raise ValueError("--alpha0 and --alpha1 must be given together")
+    if explicit:
         scale = math.sqrt(args.efficiency)
         c = BinaryConstellation(scale * args.alpha0, scale * args.alpha1)
         label = "explicit"
@@ -294,16 +306,16 @@ def _cmd_helstrom(args) -> int:
         c, _ = optimize_helstrom(args.efficiency * args.nbar, noise)
         label = "optimized"
     else:
-        c = parametrize(args.theta, args.efficiency * args.nbar)
+        theta = 3.0 * math.pi / 4.0 if args.theta is None else args.theta
+        c = parametrize(theta, args.efficiency * args.nbar)
         label = "parametrized"
-    dim = required_dim(max(abs(c.alpha0) ** 2, abs(c.alpha1) ** 2))
     perr = perr_helstrom(c, noise)
     perr_noiseless = perr_helstrom_noiseless(c)
     print(f"constellation = {label}")
     print(f"alpha0 = {c.alpha0}")
     print(f"alpha1 = {c.alpha1}")
     print(f"sigma = {args.sigma!r}")
-    print(f"fock_dim = {dim}")
+    print(f"fock_dim = {fock_dim((c.alpha0, c.alpha1))}")
     print(f"mean_photon_number = {_fmt(c.mean_photon_number())}")
     print(f"perr_helstrom = {_fmt(perr)}")
     print(f"perr_helstrom_noiseless = {_fmt(perr_noiseless)}")
@@ -406,13 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pk)
 
     p = sub.add_parser("helstrom", help="quantum-optimal error probability")
-    p.add_argument("--theta", type=float, default=3.0 * math.pi / 4.0,
-                   help="constellation angle (default BPSK)")
+    p.add_argument("--theta", type=float, default=None,
+                   help="constellation angle (default 3*pi/4, BPSK)")
     p.add_argument("--alpha0", type=complex, default=None)
     p.add_argument("--alpha1", type=complex, default=None)
     p.add_argument("--optimize-constellation", action="store_true",
                    help="optimize the constellation angle at fixed power")
-    _add_common(p, tolerance=False)
+    p.add_argument("--nbar", type=float, default=None,
+                   help="average photon number per symbol, with --theta or "
+                        "--optimize-constellation")
+    _add_common(p, nbar=False, tolerance=False)
     p.set_defaults(func=_cmd_helstrom)
     return parser
 

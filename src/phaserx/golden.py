@@ -7,7 +7,7 @@ import math
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi = 0.618...
 
 
-def golden_minimize(f, a: float, b: float, xtol: float = 1e-8) -> tuple[float, float]:
+def golden_minimize(f, a: float, b: float, *, xtol: float) -> tuple[float, float]:
     """Minimize ``f`` on the bracket between ``a`` and ``b``, given in either
     order, to a bracket width of ``xtol``.
 

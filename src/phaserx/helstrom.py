@@ -46,18 +46,22 @@ class FockDensityMatrix:
     or a stack of them: ``elements`` has shape ``(..., dim, dim)``.  Each
     matrix's trace and purity are read off ``elements``."""
 
-    dim: int
     elements: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         m = self.elements
-        if m.shape[-2:] != (self.dim, self.dim):
-            raise ValueError(f"expected {self.dim}x{self.dim} matrices, got shape {m.shape}")
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+            raise ValueError(f"expected square matrices, got shape {m.shape}")
         # a non-finite element fails the bound (inf - inf is nan) without a warning
         with np.errstate(invalid="ignore"):
             hermitian = (np.abs(m - m.conj().swapaxes(-1, -2)) <= 1e-12).all()
         if not hermitian:
             raise ValueError("matrix is not Hermitian within 1e-12")
+
+    @property
+    def dim(self) -> int:
+        """Number of Fock levels kept, the size of each matrix."""
+        return self.elements.shape[-1]
 
 
 def required_dim(peak_photon_number: float) -> int:
@@ -69,6 +73,13 @@ def required_dim(peak_photon_number: float) -> int:
     """
     mu = max(peak_photon_number, 0.0)
     return math.ceil(mu + 10.0 * math.sqrt(mu + 1.0) + 20.0)
+
+
+def fock_dim(amplitudes) -> int:
+    """The one truncation rule of the Helstrom path: ``required_dim`` of the
+    brightest ``abs(a) ** 2`` among ``amplitudes``, squared by Python (C pow),
+    since numpy's square of ``np.abs`` differs by an ulp for some amplitudes."""
+    return required_dim(max(abs(a) ** 2 for a in amplitudes))
 
 
 @functools.lru_cache(maxsize=8)
@@ -99,20 +110,18 @@ def phase_diffused_state(
     each matrix equal to the one its amplitude gives alone; a scalar is the
     0-d case.  A real ``alpha`` gives a real, exactly symmetric matrix; the
     stack is real when every amplitude is.  ``dim`` defaults to
-    ``required_dim`` of the largest ``|alpha|^2``; passing a smaller value
-    raises with the required size in the message.
+    ``fock_dim`` of the amplitudes; passing a smaller value raises with the
+    required size in the message.
     """
     alpha = np.asarray(alpha)
     alphas = [check_amplitude("alpha", a) for a in alpha.ravel().tolist()]
-    # Python's abs(a) ** 2 (C pow), not numpy's square of np.abs: the two
-    # differ by an ulp for some amplitudes
+    # Python's abs(a) ** 2, the photon numbers fock_dim sizes the matrix by
     mus = [abs(a) ** 2 for a in alphas]
-    peak = max(mus)
-    need = required_dim(peak)
+    need = fock_dim(alphas)
     dim = need if dim is None else check_count("dim", dim, 1)
     if dim < need:
         raise ValueError(
-            f"dim = {dim} is too small for |alpha|^2 = {peak:.6g}; "
+            f"dim = {dim} is too small for |alpha|^2 = {max(mus):.6g}; "
             f"need at least {need} to keep the truncated tail below ~1e-12"
         )
 
@@ -126,7 +135,7 @@ def phase_diffused_state(
     amp = amp.real if all(real) else np.where(np.reshape(real, rows), amp.real, amp)
     elements = amp[..., :, None] * amp.conj()[..., None, :]
     elements *= _dephasing_kernel(noise, dim)
-    return FockDensityMatrix(dim=dim, elements=elements)
+    return FockDensityMatrix(elements)
 
 
 def trace_distance(a: FockDensityMatrix, b: FockDensityMatrix):
@@ -166,7 +175,7 @@ def perr_helstrom(
     precision (ROADMAP item 7).
     """
     if dim is None:
-        dim = required_dim(max(abs(c.alpha0) ** 2, abs(c.alpha1) ** 2))
+        dim = fock_dim((c.alpha0, c.alpha1))
     return float(_helstrom_error(c.alpha0, c.alpha1, noise, dim))
 
 
@@ -184,11 +193,11 @@ def optimize_helstrom(nbar: float, noise: PhaseNoise) -> tuple[BinaryConstellati
     check_nbar(nbar, positive=True)
     thetas = np.linspace(0.0, math.pi, HELSTROM_GRID, endpoint=False)
     grid = [parametrize(t, nbar) for t in thetas]
-    # common truncation across all candidates: the peak symbol energy is
-    # 2*nbar, or |sqrt(2*nbar)|^2 (theta = 0) where that rounds above it
-    dim = required_dim(max(2.0 * nbar, abs(grid[0].alpha0) ** 2))
     alpha0 = [c.alpha0 for c in grid]
     alpha1 = [c.alpha1 for c in grid]
+    # one truncation for every candidate: no refined angle's amplitude
+    # exceeds the scan's brightest, sqrt(2*nbar) at theta = 0
+    dim = fock_dim(alpha0 + alpha1)
     chunk = max(1, HELSTROM_STACK_BYTES // (8 * dim * dim))
     values = np.concatenate([
         _helstrom_error(alpha0[lo:lo + chunk], alpha1[lo:lo + chunk], noise, dim)

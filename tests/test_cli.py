@@ -331,8 +331,7 @@ def test_helstrom_report(capsys):
 
 
 def test_helstrom_explicit_amplitudes(capsys):
-    rc = main(["helstrom", "--nbar", "2", "--sigma", "0.45",
-               "--alpha0", "-1.9", "--alpha1", "0.15"])
+    rc = main(["helstrom", "--sigma", "0.45", "--alpha0", "-1.9", "--alpha1", "0.15"])
     assert rc == EXIT_OK
     kv = parse_kv(capsys.readouterr().out)
     assert kv["constellation"] == "explicit"
@@ -345,6 +344,25 @@ def test_helstrom_optimized_constellation(capsys):
     kv = parse_kv(capsys.readouterr().out)
     assert kv["constellation"] == "optimized"
     assert float(kv["mean_photon_number"]) == pytest.approx(2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--alpha0", "-1", "--alpha1", "1", "--theta", "1.0", "--nbar", "2"], "one constellation source"),
+    (["--alpha0", "-1", "--alpha1", "1", "--optimize-constellation", "--nbar", "2"],
+     "one constellation source"),
+    (["--theta", "1.0", "--optimize-constellation", "--nbar", "2"], "one constellation source"),
+    (["--alpha0", "-1", "--alpha1", "1", "--nbar", "1"], "not with --alpha0 and --alpha1"),
+], ids=["amplitudes-theta", "amplitudes-optimize", "theta-optimize", "amplitudes-nbar"])
+def test_helstrom_takes_one_constellation_source(argv, message, monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("helstrom computed before its sources were checked")
+
+    monkeypatch.setattr(cli, "optimize_helstrom", no_work)
+    monkeypatch.setattr(cli, "perr_helstrom", no_work)
+    assert main(["helstrom", "--sigma", "0.3", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 # Options that change no number in the CSV a command writes.
@@ -383,6 +401,9 @@ def test_usage_errors(capsys):
                  "--output", "-"]) == EXIT_USAGE
     assert main(["helstrom", "--nbar", "2", "--sigma", "0",
                  "--alpha0", "1.0"]) == EXIT_USAGE
+    # --theta (the BPSK angle by default) and --optimize-constellation need --nbar
+    for source in ([], ["--theta", "1.0"], ["--optimize-constellation"]):
+        assert main(["helstrom", "--sigma", "0", *source]) == EXIT_USAGE
     # helstrom and sweep-nbar have no quadrature tolerance to set
     assert main(["helstrom", "--nbar", "2", "--sigma", "0.1",
                  "--tolerance", "1e-9"]) == EXIT_USAGE

@@ -66,3 +66,9 @@ def test_ties_go_to_the_earliest_evaluated_point(a, b):
 def test_xtol_validation():
     with pytest.raises(ValueError):
         golden_minimize(lambda t: t * t, 0.0, 1.0, xtol=0.0)
+    # every caller states its bracket width: there is no default, and it is
+    # keyword-only
+    with pytest.raises(TypeError):
+        golden_minimize(lambda t: t * t, 0.0, 1.0)
+    with pytest.raises(TypeError):
+        golden_minimize(lambda t: t * t, 0.0, 1.0, 1e-8)

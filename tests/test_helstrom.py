@@ -101,12 +101,13 @@ def test_small_dim_raises_with_requirement():
 
 
 def test_density_matrix_shape_and_hermiticity_guards():
-    with pytest.raises(ValueError):
-        FockDensityMatrix(dim=3, elements=np.zeros((2, 2)))
+    for shape in ((2, 3), (3,), (4, 2, 3)):
+        with pytest.raises(ValueError, match="expected square matrices"):
+            FockDensityMatrix(np.zeros(shape))
     bad = np.zeros((3, 3), dtype=complex)
     bad[0, 1] = 1j  # not mirrored
     with pytest.raises(ValueError):
-        FockDensityMatrix(dim=3, elements=bad)
+        FockDensityMatrix(bad)
     # equal infinities differ by nan, not by 0, and nan is never within the bound
     inf_pair = np.zeros((3, 3))
     inf_pair[0, 1] = inf_pair[1, 0] = math.inf
@@ -114,8 +115,11 @@ def test_density_matrix_shape_and_hermiticity_guards():
     nan_diag[2, 2] = math.nan
     for bad in (inf_pair, nan_diag):
         with pytest.raises(ValueError, match="not Hermitian"):
-            FockDensityMatrix(dim=3, elements=bad)
-    assert np.trace(FockDensityMatrix(dim=0, elements=np.zeros((0, 0))).elements).real == 0.0
+            FockDensityMatrix(bad)
+    assert np.trace(FockDensityMatrix(np.zeros((0, 0))).elements).real == 0.0
+    # dim is read off the elements, for one matrix or a stack
+    assert FockDensityMatrix(np.eye(3)).dim == 3
+    assert FockDensityMatrix(np.zeros((4, 2, 5, 5))).dim == 5
 
 
 def test_state_rejects_non_finite_amplitude():
@@ -132,7 +136,7 @@ def test_trace_distance_basic_properties():
     # orthogonal projectors are at distance 1
     e0 = np.zeros((5, 5)); e0[0, 0] = 1.0
     e1 = np.zeros((5, 5)); e1[1, 1] = 1.0
-    assert trace_distance(FockDensityMatrix(5, e0), FockDensityMatrix(5, e1)) == pytest.approx(1.0, rel=1e-14)
+    assert trace_distance(FockDensityMatrix(e0), FockDensityMatrix(e1)) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(ValueError):
         trace_distance(a, phase_diffused_state(1.0, NOISELESS, dim=41))
 
@@ -260,10 +264,10 @@ def test_stack_with_one_non_hermitian_matrix_raises_like_a_single_one():
     bad = good[1].copy()
     bad[0, 3] += 1e-9  # not mirrored
     with pytest.raises(ValueError) as single:
-        FockDensityMatrix(dim=40, elements=bad)
+        FockDensityMatrix(bad)
     good[1] = bad
     with pytest.raises(ValueError) as stacked:
-        FockDensityMatrix(dim=40, elements=good)
+        FockDensityMatrix(good)
     assert str(stacked.value) == str(single.value) == "matrix is not Hermitian within 1e-12"
 
 

@@ -89,6 +89,23 @@ def test_poisson_routines_live_in_receivers():
     assert not found, "Poisson routine imported outside receivers.py:\n" + "\n".join(found)
 
 
+def _names_used(path: Path, name: str) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and node.name == name)]
+
+
+def test_fock_truncation_lives_in_helstrom():
+    # One Fock-space truncation rule: every other module sizes its matrices
+    # through helstrom's fock_dim, never through required_dim directly.
+    # __init__.py only re-exports it.
+    found = [entry for path in SOURCES if path.name not in ("helstrom.py", "__init__.py")
+             for entry in _names_used(path, "required_dim")]
+    assert not found, "required_dim named outside helstrom.py:\n" + "\n".join(found)
+
+
 def _sigma_reads(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(), filename=str(path))
     return [f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree)
