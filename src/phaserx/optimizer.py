@@ -3,10 +3,16 @@
 Minimizes the displaced photon-counting error probability over the
 constellation angle ``theta`` (which parametrizes all real-axis binary
 constellations of a given mean photon number exactly), the displacement
-``beta``, and the count threshold ``K``.  The Gaussian phase distribution is
-even, so the error probability is invariant under complex conjugation of all
-parameters and the optimum can be taken on the real axis; the test suite
-guards that restriction with an imaginary-perturbation check.
+``beta``, and the count threshold ``K``.  The optimum lies on the real axis:
+given the magnitudes, each symbol's term of the error depends only on its
+own angle ``delta`` to ``beta``, through the intensity
+``|alpha|**2 + |beta|**2 + 2*|alpha*beta|*cos(phi + delta)``.  Averaged over
+a phase law symmetric and unimodal on the circle, as the Gaussian's is, a
+function monotone in ``cos(phi + delta)`` is monotone in ``|delta|``.
+``P(count <= K)`` falls as the intensity grows, so bit 1's term is least at
+``delta = 0`` and bit 0's at ``delta = pi``: both symbols real once ``beta``
+is.  The test suite guards the restriction with an imaginary-perturbation
+check.
 
 The search is fully deterministic: a dense (theta, beta) grid per threshold
 value seeds a damped Newton refinement in (theta, beta).  Seeds whose
@@ -26,14 +32,15 @@ The error probability is a phase average of Poisson CDFs ``F_K(mu)`` of the
 symbol intensities ``mu = a**2 + beta**2 + 2*a*beta*cos(phi)``, and
 ``dF_K/dmu = -p_K(mu)``, so its gradient and Hessian in (theta, beta) are
 phase averages of the same kind.  The grid scan and refinement average on
-one fixed rule, the folded ``GRID_QUAD_ORDER`` rule built once per problem.
-The scan's beta axis is mirrored exactly, so it averages a table of symbol
-amplitudes, half as many rows as the grid's two symbols per angle, and
-gathers the grid from it.  Refinement steps on the Newton step of the
+one fixed rule built once per problem: ``average``'s order-64 rung
+(``GRID_QUAD_ORDER``), folded.  The scan's beta axis is mirrored exactly,
+so it averages a table of symbol amplitudes, half as many rows as the
+grid's two symbols per angle, and gathers the grid from it.  Refinement steps on the Newton step of the
 Hessian's absolute curvatures, capped in length, and accepts it on the
 error averaged on that rule.  The adaptive ``generalized_kennedy_detail``
 certifies each seed's end point once, and its value is reported; a seed
-whose rule misses it by more than the tolerance goes on on a finer rule.
+whose rule misses it by more than the tolerance goes on on the next rung of
+the same ladder, 64 -> 128 -> 256 -> 512 (``MAX_ORDER``).
 """
 
 from __future__ import annotations
@@ -50,10 +57,11 @@ import numpy as np
 from .constellation import BinaryConstellation, check_count, check_nbar, parametrize
 from .golden import golden_minimize
 from .helstrom import perr_helstrom
-from .phasenoise import (DEFAULT_TOLERANCE, MAX_ORDER, ConvergenceError, PhaseNoise,
-                         build_rule, check_tolerance)
+from .phasenoise import (BASE_ORDER, DEFAULT_TOLERANCE, MAX_ORDER, ConvergenceError,
+                         PhaseNoise, build_rule, check_tolerance)
 from .receivers import (
     ReceiverConfig,
+    _intensity,
     _kennedy_error,
     _poisson_cdfs,
     _poisson_pmf,
@@ -62,8 +70,9 @@ from .receivers import (
     perr_sql_baseline,
 )
 
-# Order of the fixed rule that the grid scan and refinement average on.
-GRID_QUAD_ORDER = 96
+# Order of the fixed rule that the grid scan and refinement average on:
+# ``average``'s second rung, so every search rule is one of its orders.
+GRID_QUAD_ORDER = 2 * BASE_ORDER
 MAX_REFINE_ROUNDS = 60
 # Step length, in grid cells, below which a seed counts as converged.
 REFINE_TOLERANCE = 1e-8
@@ -173,9 +182,10 @@ def _grid_scan(problem: OptimizationProblem, rule):
 
     # table[k] accumulates P(count <= k | amplitude) per row and beta.
     table = np.zeros((problem.pnr_ceiling, amps.size, m))
+    weighted = np.empty(table.shape[1:])
     for w, phi in zip(rule.weights, rule.nodes):
         for acc, cdf in zip(table, _poisson_cdfs(displaced_intensity(amps, betas, phi))):
-            acc += w * cdf
+            acc += np.multiply(w, cdf, out=weighted)
 
     # Cells 0 .. n//2 read their own rows.  Cells n//2 + 1 .. n - 1 have
     # cos(theta) < 0 and read the rows of n - i, descending, with alpha0's
@@ -231,8 +241,8 @@ def _derivatives(nbar: float, k: int, theta: float, beta: float,
     s = math.sqrt(2.0 * nbar)
     a = np.array([[s * math.sin(theta)], [s * math.cos(theta)]])  # alpha1, alpha0
     da = np.array([[a[1, 0]], [-a[0, 0]]])  # d a / d theta; d2 a / d theta2 = -a
-    cos = np.cos(rule.nodes)
-    mu = displaced_intensity(a, beta, rule.nodes)
+    cos = rule.cos
+    mu = _intensity(a, beta, cos, rule.sin)
     mu_a = 2.0 * (a + beta * cos)
     mu_t = mu_a * da
     mu_b = 2.0 * (beta + a * cos)
@@ -249,8 +259,9 @@ def _derivatives(nbar: float, k: int, theta: float, beta: float,
         d2 * mu_b * mu_b + 2.0 * d1,
     ])
     pt, pb, ptt, ptb, pbb = rule.average(0.5 * (terms[:, 0] - terms[:, 1]))
-    grad = np.array([pt, pb]) * scale
-    hess = np.array([[ptt, ptb], [ptb, pbb]]) * np.outer(scale, scale)
+    st, sb = scale
+    grad = np.array([pt * st, pb * sb])
+    hess = np.array([[ptt * (st * st), ptb * (st * sb)], [ptb * (st * sb), pbb * (sb * sb)]])
     return rule.average(_kennedy_error(k, mu)), grad, hess
 
 

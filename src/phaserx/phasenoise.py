@@ -44,9 +44,12 @@ def _hermite_base(order: int) -> tuple[np.ndarray, np.ndarray]:
     # scipy's implementation stays finite at the order cap, where numpy's
     # hermgauss overflows.
     t, w = roots_hermite(order)
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
+    return _read_only(t), _read_only(w)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 class ConvergenceError(RuntimeError):
@@ -96,6 +99,16 @@ class QuadratureRule:
 
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def cos(self) -> np.ndarray:
+        """``cos(nodes)``, read-only, computed once per rule."""
+        return _read_only(np.cos(self.nodes))
+
+    @functools.cached_property
+    def sin(self) -> np.ndarray:
+        """``sin(nodes)``, read-only, computed once per rule."""
+        return _read_only(np.sin(self.nodes))
 
     def average(self, values: np.ndarray) -> float | np.ndarray:
         """Weighted sum of integrand samples taken at ``nodes``.

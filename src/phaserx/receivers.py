@@ -69,16 +69,27 @@ def displaced_intensity(alpha, beta, phases) -> np.ndarray:
     is assumed phase-locked, so only ``alpha`` picks up ``exp(i*phi)``.
     ``alpha``, ``beta`` and ``phases`` broadcast against each other.
     """
+    return _intensity(alpha, beta, np.cos(phases), np.sin(phases))
+
+
+def _intensity(alpha, beta, cos, sin) -> np.ndarray:
+    """``displaced_intensity`` at the phases whose cosines and sines are
+    ``cos`` and ``sin``, for a caller that keeps them, such as a
+    ``QuadratureRule``'s; neither is written to."""
     alpha = np.asarray(alpha)
     beta = np.asarray(beta)
-    cos = np.cos(phases)
-    sin = np.sin(phases)
-    # A real beta is left out of ``im`` and the squares are taken in place:
-    # on the optimizer's table of symbol amplitudes against its beta axis
-    # each full-size temporary slows the grid scan measurably.
-    re = alpha.real * cos - alpha.imag * sin + beta.real
-    im = alpha.real * sin + alpha.imag * cos
-    if np.iscomplexobj(beta):
+    # Real amplitudes and a real beta leave out the zero imaginary terms,
+    # which change no intensity, and the squares are taken in place: on the
+    # optimizer's table of symbol amplitudes against its beta axis each
+    # full-size temporary slows the grid scan measurably.  ``dtype.kind``
+    # is read, as ``np.iscomplexobj`` slows one Kennedy error measurably.
+    if alpha.dtype.kind == "c":
+        re = alpha.real * cos - alpha.imag * sin + beta.real
+        im = alpha.real * sin + alpha.imag * cos
+    else:
+        re = alpha * cos + beta.real
+        im = alpha * sin
+    if beta.dtype.kind == "c":
         im = im + beta.imag
     re *= re
     im *= im
@@ -102,16 +113,22 @@ def _poisson_cdfs(mu):
     refuses such means; the grid scan, which averages it over a table of
     symbol amplitudes and whose ``0.5 + 0.5*gap`` rounds to ~1e-16
     absolute anyway, uses the recurrence at every mean.
+
+    Each yielded array but the first is overwritten by the next draw: the
+    partial sums and terms are updated in place, so a caller that keeps one
+    past the next draw copies it.
     """
-    term = np.exp(-mu)
-    cdf = term
-    yield cdf
-    j = 0
+    first = np.exp(-mu)
+    yield first
+    term = first * mu
+    cdf = first + term
+    j = 1
     while True:
-        j += 1
-        term = term * mu / j
-        cdf = cdf + term
         yield cdf
+        j += 1
+        term *= mu
+        term /= j
+        cdf += term
 
 
 def poisson_cdf(k: int, mu: np.ndarray) -> np.ndarray:

@@ -21,11 +21,13 @@ from phaserx.optimizer import (
     optimize,
     sweep_sigma,
 )
-from phaserx.phasenoise import MAX_ORDER, ConvergenceError, PhaseNoise, build_rule
+from phaserx.phasenoise import BASE_ORDER, MAX_ORDER, ConvergenceError, PhaseNoise, build_rule
 from phaserx.receivers import (
     BIT1_HIGH,
     ReceiverConfig,
+    _kennedy_error,
     _poisson_cdfs,
+    _poisson_pmf,
     displaced_intensity,
     generalized_kennedy_detail,
     perr_generalized_kennedy,
@@ -192,6 +194,16 @@ def test_sweep_fails_only_the_ceilings_that_fail_on_their_own():
 
 # The orders of the search rules a seed refines on, in escalation order.
 SEARCH_ORDERS = [GRID_QUAD_ORDER, 2 * GRID_QUAD_ORDER, 4 * GRID_QUAD_ORDER, MAX_ORDER]
+
+
+def test_search_rules_are_rungs_of_the_average_ladder():
+    """One quadrature family: the search starts on ``average``'s second
+    rung, and every order a seed can end on is one of its rungs
+    ``BASE_ORDER * 2**j`` up to ``MAX_ORDER``."""
+    assert GRID_QUAD_ORDER == 2 * BASE_ORDER
+    rungs = {BASE_ORDER * 2**j for j in range(16)}
+    assert all(order in rungs and order <= MAX_ORDER for order in SEARCH_ORDERS)
+    assert SEARCH_ORDERS[-1] == MAX_ORDER
 
 
 def _optimize_counting_certificates(problem, monkeypatch):
@@ -378,6 +390,55 @@ def test_derivative_terms_match_central_differences(sigma, k, preferred, theta):
     assert np.abs(np.array(differences[2:]) - hess[[0, 0, 1], [0, 1, 1]]).max() <= 1e-5
 
 
+def _derivatives_with_outer(nbar, k, theta, beta, scale, rule):
+    """Reference for ``_derivatives``: the cosines taken from the nodes, the
+    intensity from ``displaced_intensity`` on complex amplitudes (its
+    formula with the zero imaginary terms), and the scaling by
+    ``np.outer``."""
+    s = math.sqrt(2.0 * nbar)
+    a = np.array([[s * math.sin(theta)], [s * math.cos(theta)]])
+    da = np.array([[a[1, 0]], [-a[0, 0]]])
+    cos = np.cos(rule.nodes)
+    mu = displaced_intensity(a.astype(complex), beta, rule.nodes)
+    mu_a = 2.0 * (a + beta * cos)
+    mu_t = mu_a * da
+    mu_b = 2.0 * (beta + a * cos)
+    mu_tt = 2.0 * da * da - mu_a * a
+    mu_tb = 2.0 * cos * da
+    pmf = _poisson_pmf(np.arange(max(k - 1, 0), k + 1.0)[:, None, None], mu)
+    d1 = -pmf[-1]
+    d2 = pmf[-1] - pmf[0] if k > 0 else pmf[-1]
+    terms = np.stack([d1 * mu_t, d1 * mu_b, d2 * mu_t * mu_t + d1 * mu_tt,
+                      d2 * mu_t * mu_b + d1 * mu_tb, d2 * mu_b * mu_b + 2.0 * d1])
+    pt, pb, ptt, ptb, pbb = rule.average(0.5 * (terms[:, 0] - terms[:, 1]))
+    grad = np.array([pt, pb]) * scale
+    hess = np.array([[ptt, ptb], [ptb, pbb]]) * np.outer(scale, scale)
+    return rule.average(_kennedy_error(k, mu)), grad, hess
+
+
+@pytest.mark.parametrize("sigma, order", [
+    (0.0, GRID_QUAD_ORDER), (0.3, GRID_QUAD_ORDER), (0.8, 4 * GRID_QUAD_ORDER), (1.2, 8),
+])
+def test_derivatives_are_bit_identical_to_the_outer_formulation(sigma, order):
+    """Cosines and sines kept on the rule, the real-amplitude intensity and
+    scalar scaling give ``_derivatives`` bit for bit, on the one-node
+    sigma-0 rule, the search rule, an escalated rule and a short full one,
+    over 300 draws each at either sign of beta."""
+    rule = build_rule(PhaseNoise(sigma), order)
+    if order > 8:
+        rule = rule.fold_even()
+    rng = np.random.default_rng(3100 + order)
+    for _ in range(300):
+        nbar, k = rng.uniform(0.05, 6.0), int(rng.integers(0, 9))
+        beta_max = 3.0 * math.sqrt(2.0 * nbar)
+        theta, beta = rng.uniform(0.0, math.pi), rng.uniform(-beta_max, beta_max)
+        scale = rng.uniform(1e-3, 0.2, size=2)
+        value, grad, hess = _derivatives(nbar, k, theta, beta, scale, rule)
+        ref_value, ref_grad, ref_hess = _derivatives_with_outer(nbar, k, theta, beta, scale, rule)
+        assert value == ref_value
+        assert np.array_equal(grad, ref_grad) and np.array_equal(hess, ref_hess)
+
+
 def _mirror_twin(theta, beta):
     """The (theta, beta) that decodes ``bit1_high`` the receiver that
     ``(theta, beta)`` decodes ``bit0_high``: swapping the bit labels is
@@ -562,6 +623,54 @@ def _grid_scan_per_cell(problem, rule, thetas, betas):
         for k, (cdf1, cdf0) in zip(range(problem.pnr_ceiling), cdfs):
             gap[k] += w * (cdf1 - cdf0)
     return 0.5 + 0.5 * gap
+
+
+def _grid_scan_allocating(problem, rule):
+    """Reference for ``_grid_scan``: ``w * cdf`` into a fresh array per
+    threshold and node, on an out-of-place Poisson recurrence and the
+    complex-amplitude intensity."""
+    n, m = problem.grid_resolution, problem.beta_resolution
+    s = math.sqrt(2.0 * problem.nbar)
+    thetas = np.linspace(0.0, math.pi, n, endpoint=False)
+    betas = np.linspace(-problem.beta_max, problem.beta_max, m)
+    betas[m - m // 2:] = -betas[:m // 2][::-1]
+    if m % 2:
+        betas[m // 2] = 0.0
+    rows = n // 2 + 1
+    amps = np.concatenate([s * np.sin(thetas[:rows]), s * np.cos(thetas[:rows])])[:, None]
+    table = np.zeros((problem.pnr_ceiling, amps.size, m))
+    for w, phi in zip(rule.weights, rule.nodes):
+        mu = displaced_intensity(amps.astype(complex), betas, phi)
+        term = np.exp(-mu)
+        cdf = term
+        for k, acc in enumerate(table):
+            if k:
+                term = term * mu / k
+                cdf = cdf + term
+            acc += w * cdf
+    for acc in table:
+        one, zero = acc[:rows], acc[rows:]
+        gap = np.concatenate([one, one[n - rows:0:-1]])
+        gap -= np.concatenate([zero, zero[n - rows:0:-1, ::-1]])
+        gap *= 0.5
+        gap += 0.5
+        acc[:n] = gap
+    return thetas, betas, table[:, :n]
+
+
+@pytest.mark.parametrize("nbar, sigma, pnr, n, m", [
+    (1.87, 0.3, 8, 181, 241), (2.0, 0.0, 3, 31, 41), (0.01, 1.0, 2, 31, 40),
+    (25.0, 0.2, 8, 30, 41), (40.0, 0.1, 4, 31, 41),
+])
+def test_grid_scan_is_bit_identical_to_fresh_array_accumulation(nbar, sigma, pnr, n, m):
+    """The scan's one scratch array for ``w * cdf``, the in-place
+    recurrence and the real-amplitude intensity give the grid of fresh
+    arrays bit for bit, on the default grid and past the recurrence limit."""
+    problem = OptimizationProblem(nbar=nbar, noise=PhaseNoise(sigma), pnr_ceiling=pnr,
+                                  grid_resolution=n, beta_resolution=m)
+    rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
+    for got, want in zip(_grid_scan(problem, rule), _grid_scan_allocating(problem, rule)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("nbar, sigma, pnr", [

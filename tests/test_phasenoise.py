@@ -47,6 +47,18 @@ def test_rule_structure():
     assert np.max(np.abs(rule.nodes)) < 0.45 * math.sqrt(2.0) * 48
 
 
+@pytest.mark.parametrize("sigma, order", [(0.0, 64), (0.45, 48), (0.45, 97)])
+def test_rule_keeps_its_cosines_and_sines(sigma, order):
+    """Each rule takes ``cos`` and ``sin`` of its nodes once, read-only,
+    and its folded rule its own."""
+    for rule in (build_rule(PhaseNoise(sigma), order),
+                 build_rule(PhaseNoise(sigma), order).fold_even()):
+        assert rule.cos is rule.cos and rule.sin is rule.sin
+        assert np.array_equal(rule.cos, np.cos(rule.nodes))
+        assert np.array_equal(rule.sin, np.sin(rule.nodes))
+        assert not (rule.cos.flags.writeable or rule.sin.flags.writeable)
+
+
 EVEN_INTEGRANDS = {
     "cos": np.cos,
     "cos^2": lambda p: np.cos(p) ** 2,

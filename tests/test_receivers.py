@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from phaserx.phasenoise import PhaseNoise, average, build_rule
 from phaserx.receivers import (
     BIT1_HIGH,
     ReceiverConfig,
+    _poisson_cdfs,
     displaced_intensity,
     generalized_kennedy_detail,
     perr_bpsk_hom,
@@ -85,6 +87,65 @@ def test_poisson_cdf_against_scipy():
     got = poisson_cdf(700, mixed)
     assert got.tolist() == [float(poisson_cdf(700, mu)) for mu in mixed]
     assert abs(got[1] - 0.38405569280783332064) <= 1e-14 * got[1]
+
+
+def test_real_amplitudes_give_the_complex_paths_intensity_bit_for_bit():
+    """Real amplitudes leave out the zero imaginary terms, which change no
+    intensity: the real path equals the same amplitudes taken as complex,
+    with real and complex beta, scalar and array phases."""
+    rng = np.random.default_rng(31)
+    alphas = rng.uniform(-6.0, 6.0, size=(50, 1))
+    betas = rng.uniform(-9.0, 9.0, size=40)
+    phases = rng.normal(0.0, 1.0, size=(50, 1))
+    for beta in (betas, betas + 0.3j, 0.0, -0.0):
+        got = displaced_intensity(alphas, beta, phases)
+        assert np.array_equal(got, displaced_intensity(alphas.astype(complex), beta, phases))
+        for phi in phases[:5, 0]:
+            want = displaced_intensity(alphas.astype(complex), beta, phi)
+            assert np.array_equal(displaced_intensity(alphas, beta, phi), want)
+
+
+def _poisson_cdfs_out_of_place(mu):
+    """Reference for ``_poisson_cdfs``: a fresh array per draw."""
+    term = np.exp(-mu)
+    cdf = term
+    yield cdf
+    j = 0
+    while True:
+        j += 1
+        term = term * mu / j
+        cdf = cdf + term
+        yield cdf
+
+
+@pytest.mark.parametrize("mu", [
+    np.array([0.0, 1e-300, 0.3, 1.0, 4.0, 17.5, 120.0, 708.0, 745.0, 800.0]),
+    np.linspace(0.0, 30.0, 12).reshape(3, 4),
+    0.0, 2.5, 650.0, np.float64(3.7), np.array(9.25),
+])
+def test_in_place_poisson_recurrence_is_bit_identical(mu):
+    """The in-place recurrence yields, draw by draw, the values and types of
+    the out-of-place one, for array and scalar means; each yield is read
+    before the next draw, which overwrites it, all but the first."""
+    for j, (got, want) in enumerate(zip(_poisson_cdfs(mu), _poisson_cdfs_out_of_place(mu))):
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), j
+        if j == 120:
+            break
+    cdfs = _poisson_cdfs(mu)
+    first = next(cdfs)
+    next(islice(cdfs, 3, None))
+    assert np.array_equal(first, np.exp(-np.asarray(mu)))
+
+
+def test_poisson_cdf_keeps_its_return_types():
+    """A scalar mean gives a numpy float through the recurrence and a 0-d
+    array through ``pdtr``, an array mean an array, at every count."""
+    for k in (0, 1, 5):
+        assert type(poisson_cdf(k, 1.5)) is np.float64
+        assert type(poisson_cdf(k, np.array(3.0))) is np.float64
+        assert type(poisson_cdf(k, 800.0)) is np.ndarray
+        assert poisson_cdf(k, np.array([1.0, 2.0])).shape == (2,)
 
 
 def test_perr_ook_dd_closed_form():
