@@ -15,10 +15,11 @@ is.  The test suite guards the restriction with an imaginary-perturbation
 check.
 
 The search is fully deterministic: a dense (theta, beta) grid per threshold
-value seeds a damped Newton refinement in (theta, beta).  Seeds whose
-errors lie within ``TIE_WINDOW`` of the best, relative to it, tie, and ties
-are broken by smaller ``K``, then smaller ``|beta|``, then smaller
-``theta``.
+value seeds a damped Newton refinement in (theta, beta) from the best cell
+of each threshold, and from its next ``REFINE_SEEDS - 1`` cells too where
+that first descent is capped.  Seeds whose errors lie within
+``TIE_WINDOW`` of the best, relative to it, tie, and ties are broken by
+smaller ``K``, then smaller ``|beta|``, then smaller ``theta``.
 
 Only the ``bit1_high`` decision rule is searched.  A receiver decoded
 ``bit0_high`` is its mirror twin decoded ``bit1_high``: swapping the bit
@@ -76,7 +77,8 @@ GRID_QUAD_ORDER = 2 * BASE_ORDER
 MAX_REFINE_ROUNDS = 60
 # Step length, in grid cells, below which a seed counts as converged.
 REFINE_TOLERANCE = 1e-8
-# Best grid cells refined per threshold.
+# Best grid cells refined per threshold whose first descent is capped;
+# every other threshold refines its best cell only.
 REFINE_SEEDS = 5
 # Relative error window within which refined seeds tie.
 TIE_WINDOW = 1e-12
@@ -136,7 +138,8 @@ class OptimizationResult:
     perr_sql: float
     perr_helstrom: float
     # The reported seed, and every refined seed below the ceiling (the winner
-    # among them) in refinement order: a lower ceiling picks among a prefix.
+    # among them) in refinement order: one per threshold, or ``REFINE_SEEDS``
+    # where the first is capped.  A lower ceiling picks among a prefix.
     winner: Seed = field(repr=False)
     seeds: tuple[Seed, ...] = field(repr=False)
 
@@ -350,7 +353,11 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
 
 
 def _search(problem: OptimizationProblem) -> tuple[Seed, ...]:
-    """Grid scan and refinement of every seed below the ceiling, in order.
+    """Grid scan and refinement below the ceiling, in threshold order.
+
+    Each threshold refines its best grid cell, and its next
+    ``REFINE_SEEDS - 1`` cells, best first, only where that descent is
+    capped (ROADMAP item 2); elsewhere its best cells share one basin.
 
     Every rule of the search is folded onto phi >= 0: real amplitudes and
     a real displacement make every integrand averaged on it, the grid
@@ -360,8 +367,12 @@ def _search(problem: OptimizationProblem) -> tuple[Seed, ...]:
     rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
     thetas, betas, grid_perr = _grid_scan(problem, rule)
     scale = np.array([thetas[1] - thetas[0], betas[1] - betas[0]])
-    return tuple(Seed(k, *_refine(problem, k, float(thetas[i]), float(betas[j]), scale, rule))
-                 for k, i, j in _select_seeds(grid_perr, REFINE_SEEDS))
+    seeds: list[Seed] = []
+    for k, i, j in _select_seeds(grid_perr, REFINE_SEEDS):
+        if next((s.capped for s in seeds if s.k == k), True):  # no seed yet, or the first capped
+            seeds.append(Seed(k, *_refine(problem, k, float(thetas[i]), float(betas[j]),
+                                          scale, rule)))
+    return tuple(seeds)
 
 
 def _pick(problem: OptimizationProblem, seeds: tuple[Seed, ...]) -> OptimizationResult:
@@ -389,9 +400,10 @@ def _pick(problem: OptimizationProblem, seeds: tuple[Seed, ...]) -> Optimization
 
 def optimize(problem: OptimizationProblem) -> OptimizationResult:
     """Full deterministic search: exhaustive threshold scan, dense grid
-    seeding, then damped Newton refinement of the best seeds of each
-    threshold.  The winner is reported as its ``bit1_high`` twin, with the
-    error that certified its refinement, so ``(perr, BIT1_HIGH)`` equals
+    seeding, then damped Newton refinement of each threshold's best seed
+    (its best ``REFINE_SEEDS`` where that one is capped).  The winner is
+    reported as its ``bit1_high`` twin, with the error that certified its
+    refinement, so ``(perr, BIT1_HIGH)`` equals
     ``generalized_kennedy_detail`` at the reported configuration."""
     return _pick(problem, _search(problem))
 

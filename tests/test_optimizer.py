@@ -17,6 +17,7 @@ from phaserx.optimizer import (
     _grid_scan,
     _newton_step,
     _pick,
+    _refine,
     _select_seeds,
     optimize,
     sweep_sigma,
@@ -610,6 +611,83 @@ def test_default_knobs_reach_a_stationary_point(nbar, sigma):
     res = optimize(OptimizationProblem(nbar=nbar, noise=PhaseNoise(sigma), pnr_ceiling=1))
     assert not any(s.capped for s in res.seeds)
     assert res.winner.gradient_norm <= 1e-6 * res.perr
+
+
+def _optimize_counting_refinements(problem, monkeypatch):
+    """``optimize(problem)`` and the number of ``_refine`` calls it made."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _refine(*args)
+
+    monkeypatch.setattr("phaserx.optimizer._refine", counted)
+    return optimize(problem), len(calls)
+
+
+def test_one_seed_per_threshold_where_none_is_capped(monkeypatch):
+    """Without a capped descent, each threshold refines its best grid cell
+    only: one seed per threshold, in threshold order."""
+    problem = OptimizationProblem(nbar=2.0, noise=PhaseNoise(0.3), pnr_ceiling=8)
+    res, refined = _optimize_counting_refinements(problem, monkeypatch)
+    assert refined == len(res.seeds) == problem.pnr_ceiling
+    assert [s.k for s in res.seeds] == list(range(problem.pnr_ceiling))
+    assert not any(s.capped for s in res.seeds)
+
+
+def test_a_capped_first_seed_refines_every_seed_of_its_threshold(monkeypatch):
+    """In the noiseless valley at nbar 5 (ROADMAP item 2) the best cell's
+    descent is capped, so the threshold's other cells are refined too."""
+    problem = OptimizationProblem(nbar=5.0, noise=PhaseNoise(0.0), pnr_ceiling=1)
+    res, refined = _optimize_counting_refinements(problem, monkeypatch)
+    assert res.seeds[0].capped
+    assert refined == len(res.seeds) == REFINE_SEEDS
+
+
+def _search_every_seed(problem):
+    """Reference search: refines all ``REFINE_SEEDS`` best grid cells of
+    every threshold, capped or not."""
+    rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
+    thetas, betas, grid_perr = _grid_scan(problem, rule)
+    scale = np.array([thetas[1] - thetas[0], betas[1] - betas[0]])
+    return tuple(Seed(k, *_refine(problem, k, float(thetas[i]), float(betas[j]), scale, rule))
+                 for k, i, j in _select_seeds(grid_perr, REFINE_SEEDS))
+
+
+def _drawn_problems(count):
+    """The first ``count`` problems of the seeded corpus draw (ROADMAP
+    item 10): nbar U(0.3, 4), sigma 0 with probability 0.3 else
+    U(0, 0.6), PNR from {1, 2, 3, 4, 8}."""
+    rng = np.random.default_rng(2026)
+    for _ in range(count):
+        nbar = float(rng.uniform(0.3, 4.0))
+        sigma = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 0.6))
+        yield nbar, sigma, int(rng.choice([1, 2, 3, 4, 8]))
+
+
+def test_one_seed_search_matches_refining_every_seed():
+    """Against the search that refines every seed, on the 4 bench-shaped
+    sweeps (nbar 1.5 to 2.5, sigma 0 to 0.45, PNR 1 and 8), 10 drawn
+    problems and the capped valley at nbar 5: the same K, an error no
+    higher beyond the tie window, and each threshold's seeds are the
+    reference's, all of them where its first seed is capped and the first
+    elsewhere."""
+    cases = [(nbar, sigma, pnr) for nbar in np.linspace(1.5, 2.5, 4)
+             for sigma in (0.0, 0.15, 0.3, 0.45) for pnr in (1, 8)]
+    cases += [*_drawn_problems(10), (5.0, 0.0, 1)]
+    capped = 0
+    for nbar, sigma, pnr in cases:
+        problem = fast_problem(float(nbar), sigma, pnr)
+        res, every = optimize(problem), _search_every_seed(problem)
+        ref = _pick(problem, every)
+        assert res.config.threshold_k == ref.config.threshold_k
+        assert res.perr <= ref.perr * (1.0 + TIE_WINDOW)
+        for k in range(pnr):
+            mine = [s for s in res.seeds if s.k == k]
+            theirs = [s for s in every if s.k == k]
+            assert mine == (theirs if theirs[0].capped else theirs[:1])
+            capped += theirs[0].capped
+    assert capped > 0
 
 
 def _grid_scan_per_cell(problem, rule, thetas, betas):
