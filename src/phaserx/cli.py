@@ -351,7 +351,8 @@ def _add_common(p: argparse.ArgumentParser, *, nbar: bool = True, sigma: bool = 
 
 def _add_grid_knobs(p: argparse.ArgumentParser):
     p.add_argument("--grid-resolution", type=int, default=OptimizationProblem.grid_resolution,
-                   help="number of constellation-angle grid points")
+                   help="number of constellation-angle grid points (default %(default)s; "
+                        "an even count halves the scan's amplitude table)")
     p.add_argument("--beta-resolution", type=int, default=OptimizationProblem.beta_resolution,
                    help="number of displacement grid points")
 

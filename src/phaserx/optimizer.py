@@ -35,8 +35,9 @@ symbol intensities ``mu = a**2 + beta**2 + 2*a*beta*cos(phi)``, and
 phase averages of the same kind.  The grid scan and refinement average on
 one fixed rule built once per problem: ``average``'s order-64 rung
 (``GRID_QUAD_ORDER``), folded.  The scan's beta axis is mirrored exactly,
-so it averages a table of symbol amplitudes, half as many rows as the
-grid's two symbols per angle, and gathers the grid from it.  Refinement steps on the Newton step of the
+so it averages a table of amplitudes ``s*sin(i*pi/(2n))``, i = 0 .. n,
+that both symbols index (on an even grid of ``n`` angles they share its
+``n/2 + 1`` even rows), and gathers the grid from it.  Refinement steps on the Newton step of the
 Hessian's absolute curvatures, capped in length, and accepts it on the
 error averaged on that rule.  The adaptive ``generalized_kennedy_detail``
 certifies each seed's end point once, and its value is reported; a seed
@@ -94,7 +95,7 @@ class OptimizationProblem:
     nbar: float
     noise: PhaseNoise
     pnr_ceiling: int
-    grid_resolution: int = 181
+    grid_resolution: int = 182
     beta_resolution: int = 241
     quad_tolerance: float = DEFAULT_TOLERANCE
 
@@ -165,12 +166,13 @@ def _grid_scan(problem: OptimizationProblem, rule):
     the rest that half negated, and the centre of an odd axis is 0.
 
     The averages run on a table of symbol amplitudes rather than on the
-    cells.  Cell ``i`` and cell ``n - i`` share ``|alpha1| = s*sin(theta)``
-    and ``|alpha0| = s*|cos(theta)|``, and ``mu(-a, beta) = mu(a, -beta)``.
-    So the table holds ``<F_K(mu)>`` for the ``n//2 + 1`` amplitudes of
-    each symbol with ``cos(theta) >= 0``, one batch per node, and each cell
-    gathers its two rows, with the beta axis reversed for ``alpha0`` where
-    ``cos(theta) < 0``.  The grid only seeds refinement.
+    cells: row ``i = 0 .. n`` is ``s*sin(i*pi/(2n))``.  ``|alpha1|`` of
+    ``theta_j`` is row ``2j``, and ``|alpha0| = s*|cos(theta_j)|`` row
+    ``n - 2j``, which an odd ``n`` computes as ``s*cos(theta_j)`` and an even
+    ``n`` shares with ``alpha1``, keeping the ``n/2 + 1`` even rows only.
+    Cell ``c`` reads the rows of ``theta_j``, ``j = min(c, n - c)``, with
+    the beta axis reversed for ``alpha0`` where ``cos(theta) < 0``, as
+    ``mu(-a, beta) = mu(a, -beta)``.  The grid only seeds refinement.
     """
     n, m = problem.grid_resolution, problem.beta_resolution
     s = math.sqrt(2.0 * problem.nbar)
@@ -180,28 +182,30 @@ def _grid_scan(problem: OptimizationProblem, rule):
     if m % 2:
         betas[m // 2] = 0.0
     rows = n // 2 + 1
-    # |alpha1| then |alpha0| of theta_0 .. theta_(n//2), shape (2*rows, 1)
-    amps = np.concatenate([s * np.sin(thetas[:rows]), s * np.cos(thetas[:rows])])[:, None]
+    step = math.gcd(n, 2)  # an even n keeps only the even rows i, each at i // 2
+    j = np.minimum(np.arange(n), n - np.arange(n))
+    one, zero = 2 * j // step, (n - 2 * j) // step
+    amps = np.empty((n // step + 1, 1))
+    amps[zero[:rows], 0] = s * np.cos(thetas[:rows])
+    amps[one[:rows], 0] = s * np.sin(thetas[:rows])
 
-    # table[k] accumulates P(count <= k | amplitude) per row and beta.
-    table = np.zeros((problem.pnr_ceiling, amps.size, m))
+    # grid[k] accumulates P(count <= k | amplitude) per row in its leading rows.
+    grid = np.zeros((problem.pnr_ceiling, n + 1, m))
+    table = grid[:, :amps.size]
     weighted = np.empty(table.shape[1:])
     for w, phi in zip(rule.weights, rule.nodes):
         for acc, cdf in zip(table, _poisson_cdfs(displaced_intensity(amps, betas, phi))):
             acc += np.multiply(w, cdf, out=weighted)
 
-    # Cells 0 .. n//2 read their own rows.  Cells n//2 + 1 .. n - 1 have
-    # cos(theta) < 0 and read the rows of n - i, descending, with alpha0's
-    # beta axis reversed.  2*rows >= n, so each threshold's grid is written
-    # into its table's first n rows once both gathers are read.
-    for acc in table:
-        one, zero = acc[:rows], acc[rows:]
-        gap = np.concatenate([one, one[n - rows:0:-1]])
-        gap -= np.concatenate([zero, zero[n - rows:0:-1, ::-1]])
-        gap *= 0.5
-        gap += 0.5
-        acc[:n] = gap
-    return thetas, betas, table[:, :n]
+    # Cells 0 .. n//2 read their own rows, and cells n//2 + 1 .. n - 1, where
+    # cos(theta) < 0, those of n - c; each threshold gathers from a copy.
+    for acc in grid:
+        own = acc[:amps.size].copy()
+        np.subtract(own[one[:rows]], own[zero[:rows]], out=acc[:rows])
+        np.subtract(own[one[rows:]], own[zero[rows:], ::-1], out=acc[rows:n])
+        acc *= 0.5
+        acc += 0.5
+    return thetas, betas, grid[:, :n]
 
 
 def _select_seeds(perr: np.ndarray, nseeds: int) -> list[tuple[int, int, int]]:

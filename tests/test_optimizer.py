@@ -706,7 +706,8 @@ def _grid_scan_per_cell(problem, rule, thetas, betas):
 def _grid_scan_allocating(problem, rule):
     """Reference for ``_grid_scan``: ``w * cdf`` into a fresh array per
     threshold and node, on an out-of-place Poisson recurrence and the
-    complex-amplitude intensity."""
+    complex-amplitude intensity.  At even n, alpha0 of angle j is the
+    shared row ``s*sin(thetas[n//2 - j])``."""
     n, m = problem.grid_resolution, problem.beta_resolution
     s = math.sqrt(2.0 * problem.nbar)
     thetas = np.linspace(0.0, math.pi, n, endpoint=False)
@@ -715,7 +716,8 @@ def _grid_scan_allocating(problem, rule):
     if m % 2:
         betas[m // 2] = 0.0
     rows = n // 2 + 1
-    amps = np.concatenate([s * np.sin(thetas[:rows]), s * np.cos(thetas[:rows])])[:, None]
+    zero = s * (np.cos(thetas[:rows]) if n % 2 else np.sin(thetas[n // 2 - np.arange(rows)]))
+    amps = np.concatenate([s * np.sin(thetas[:rows]), zero])[:, None]
     table = np.zeros((problem.pnr_ceiling, amps.size, m))
     for w, phi in zip(rule.weights, rule.nodes):
         mu = displaced_intensity(amps.astype(complex), betas, phi)
@@ -738,12 +740,13 @@ def _grid_scan_allocating(problem, rule):
 
 @pytest.mark.parametrize("nbar, sigma, pnr, n, m", [
     (1.87, 0.3, 8, 181, 241), (2.0, 0.0, 3, 31, 41), (0.01, 1.0, 2, 31, 40),
-    (25.0, 0.2, 8, 30, 41), (40.0, 0.1, 4, 31, 41),
+    (25.0, 0.2, 8, 30, 41), (40.0, 0.1, 4, 31, 41), (1.87, 0.3, 8, 182, 241),
 ])
 def test_grid_scan_is_bit_identical_to_fresh_array_accumulation(nbar, sigma, pnr, n, m):
     """The scan's one scratch array for ``w * cdf``, the in-place
     recurrence and the real-amplitude intensity give the grid of fresh
-    arrays bit for bit, on the default grid and past the recurrence limit."""
+    arrays bit for bit, on odd and even grids (the default's 182 among
+    them) and past the recurrence limit."""
     problem = OptimizationProblem(nbar=nbar, noise=PhaseNoise(sigma), pnr_ceiling=pnr,
                                   grid_resolution=n, beta_resolution=m)
     rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
@@ -787,9 +790,10 @@ def test_folded_grid_scan_matches_the_full_rule(sigma, pnr):
     problem = OptimizationProblem(nbar=1.87, noise=PhaseNoise(sigma), pnr_ceiling=pnr)
     rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
     thetas, betas, perr = _grid_scan(problem, rule)
-    assert np.array_equal(thetas, np.linspace(0.0, math.pi, 181, endpoint=False))
+    n, m = OptimizationProblem.grid_resolution, OptimizationProblem.beta_resolution
+    assert np.array_equal(thetas, np.linspace(0.0, math.pi, n, endpoint=False))
     ref = _grid_scan_per_cell(problem, build_rule(problem.noise, GRID_QUAD_ORDER), thetas, betas)
-    assert perr.shape == ref.shape == (pnr, 181, 241)
+    assert perr.shape == ref.shape == (pnr, n, m)
     assert np.all(np.abs(perr - ref) <= 1e-12 * ref)
     assert _select_seeds(perr, REFINE_SEEDS) == _select_seeds_argsort(ref, REFINE_SEEDS)
 
@@ -806,7 +810,7 @@ def _check_table_scan(problem):
     return thetas, betas
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 31, 181])
+@pytest.mark.parametrize("n", [2, 3, 4, 31, 181, 182])
 @pytest.mark.parametrize("m", [2, 3, 40, 41, 241])
 def test_table_scan_axes_and_values(n, m):
     """theta is ``linspace``'s bit for bit; beta is mirrored exactly, its
@@ -827,14 +831,34 @@ def test_table_scan_axes_and_values(n, m):
 
 @pytest.mark.parametrize("nbar, sigma, pnr, n, m", [
     (0.01, 1.0, 2, 31, 41), (5.0, 0.1, 3, 30, 41), (25.0, 0.0, 8, 31, 40),
-    (30.0, 0.3, 32, 31, 41), (40.0, 0.1, 4, 181, 241),
+    (30.0, 0.3, 32, 31, 41), (40.0, 0.1, 4, 181, 241), (40.0, 0.1, 4, 182, 241),
 ])
 def test_table_scan_matches_each_cells_average(nbar, sigma, pnr, n, m):
     """From vanishing signal to nbar 40, past the recurrence limit, and on
-    the default grid, the table scan is within 2e-15 absolute of each
-    cell's own two-symbol average."""
+    the default grid and the odd one below it, the table scan is within
+    2e-15 absolute of each cell's own two-symbol average."""
     _check_table_scan(OptimizationProblem(nbar=nbar, noise=PhaseNoise(sigma), pnr_ceiling=pnr,
                                           grid_resolution=n, beta_resolution=m))
+
+
+@pytest.mark.parametrize("n, rows", [(182, 92), (30, 16), (4, 3), (181, 182), (31, 32), (3, 4)])
+def test_even_grid_shares_its_amplitude_rows(n, rows, monkeypatch):
+    """At even n, alpha0 of each angle is alpha1 of another, so the scan
+    averages n//2 + 1 amplitude rows; at odd n the symbols' rows are
+    disjoint, n + 1 of them."""
+    shapes = []
+
+    def spy(alpha, beta, phases):
+        shapes.append(np.shape(alpha))
+        return displaced_intensity(alpha, beta, phases)
+
+    monkeypatch.setattr("phaserx.optimizer.displaced_intensity", spy)
+    problem = OptimizationProblem(nbar=2.0, noise=PhaseNoise(0.3), pnr_ceiling=2,
+                                  grid_resolution=n, beta_resolution=41)
+    rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
+    _grid_scan(problem, rule)
+    assert len(shapes) == rule.nodes.size
+    assert {shape[0] for shape in shapes} == {rows}
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0])
