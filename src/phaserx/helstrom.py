@@ -29,9 +29,9 @@ from .golden import golden_minimize
 from .phasenoise import PhaseNoise
 from .receivers import _poisson_pmf
 
-# optimize_helstrom: constellation angles scanned on [0, pi), and the
-# golden-section bracket width that refines the best of them.
-HELSTROM_GRID = 121
+# optimize_helstrom: angles scanned on [pi/4, 3*pi/4], the Helstrom error's
+# fundamental domain, and the golden bracket width refining the best of them.
+HELSTROM_GRID = 63
 HELSTROM_XTOL = 1e-6
 # optimize_helstrom scans its angles in chunks whose stack of real density
 # matrices holds at most this many bytes, or one angle where a single matrix
@@ -182,21 +182,27 @@ def perr_helstrom(
 def optimize_helstrom(nbar: float, noise: PhaseNoise) -> tuple[BinaryConstellation, float]:
     """Best Helstrom error over real-axis constellations at fixed power.
 
-    Scans ``HELSTROM_GRID`` angles of the power-preserving parametrization,
-    then refines the best grid cell by golden-section search.  The scan
-    builds its states as stacks, in chunks of angles whose stack of real
-    matrices fits in ``HELSTROM_STACK_BYTES``, and takes each chunk's
-    trace distances from one batched eigensolve; every value equals the
-    ``perr_helstrom`` of its angle.  Used for the bound optimized
+    Scans ``HELSTROM_GRID`` angles of the power-preserving parametrization
+    on [pi/4, 3*pi/4], from the degenerate pair through OOK (pi/2) to BPSK
+    (3*pi/4), then refines the best grid cell by golden-section search.
+    That interval covers every constellation: theta -> theta + pi negates
+    both amplitudes, a rotation that commutes with the phase-noise channel,
+    and theta -> pi/2 - theta swaps the labels, which leaves the error of
+    equal priors unchanged.  The refined angle stays within one grid step
+    of the interval, so where OOK is best ``alpha0`` is the dim symbol.
+    The scan builds its states as stacks, in chunks of angles whose stack
+    of real matrices fits in ``HELSTROM_STACK_BYTES``, and takes each
+    chunk's trace distances from one batched eigensolve; every value equals
+    the ``perr_helstrom`` of its angle.  Used for the bound optimized
     independently of any concrete receiver.
     """
     check_nbar(nbar, positive=True)
-    thetas = np.linspace(0.0, math.pi, HELSTROM_GRID, endpoint=False)
+    thetas = np.linspace(math.pi / 4, 3 * math.pi / 4, HELSTROM_GRID)
     grid = [parametrize(t, nbar) for t in thetas]
     alpha0 = [c.alpha0 for c in grid]
     alpha1 = [c.alpha1 for c in grid]
     # one truncation for every candidate: no refined angle's amplitude
-    # exceeds the scan's brightest, sqrt(2*nbar) at theta = 0
+    # exceeds the scan's brightest, sqrt(2*nbar) at theta = pi/2
     dim = fock_dim(alpha0 + alpha1)
     chunk = max(1, HELSTROM_STACK_BYTES // (8 * dim * dim))
     values = np.concatenate([

@@ -13,6 +13,7 @@ from phaserx.helstrom import (
     HELSTROM_STACK_BYTES,
     HELSTROM_XTOL,
     FockDensityMatrix,
+    fock_dim,
     optimize_helstrom,
     perr_helstrom,
     phase_diffused_state,
@@ -296,10 +297,15 @@ def _per_angle_perr(c, noise, dim):
     return min(max(perr, 0.0), 0.5)
 
 
-def _per_angle_optimize(nbar, noise):
+# optimize_helstrom's grid on its fundamental domain, and the 121 angles on
+# [0, pi) it scanned before, which cover every constellation twice.
+DOMAIN_GRID = np.linspace(math.pi / 4, 3 * math.pi / 4, HELSTROM_GRID)
+FULL_CIRCLE_GRID = np.linspace(0.0, math.pi, 121, endpoint=False)
+
+
+def _per_angle_optimize(nbar, noise, thetas=DOMAIN_GRID):
     """optimize_helstrom's per-angle scan and golden refinement, the oracle:
-    returns the 121 scan values, the constellation and its error."""
-    thetas = np.linspace(0.0, math.pi, HELSTROM_GRID, endpoint=False)
+    returns the scan values on ``thetas``, the constellation and its error."""
     dim = required_dim(2.0 * nbar)
 
     def objective(theta):
@@ -338,10 +344,35 @@ def test_stacked_scan_equals_per_angle_loop(monkeypatch, nbar, sigma):
     assert (c.alpha0, c.alpha1) == (want_c.alpha0, want_c.alpha1)
 
 
+@pytest.mark.parametrize("theta", [0.1, 0.7, math.pi / 4 + 0.05, 2.0, 2.9])
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("nbar", [0.3, 2.0, 5.0])
+def test_scan_domain_symmetries(nbar, sigma, theta):
+    """The two symmetries that make [pi/4, 3*pi/4] optimize_helstrom's
+    fundamental domain: theta -> pi/2 - theta swaps the labels and
+    theta -> theta + pi negates both amplitudes."""
+    noise = PhaseNoise(sigma)
+    dim = fock_dim([math.sqrt(2.0 * nbar)])
+    want = perr_helstrom(parametrize(theta, nbar), noise, dim)
+    for image in (math.pi / 2 - theta, theta + math.pi):
+        assert abs(perr_helstrom(parametrize(image, nbar), noise, dim) - want) <= 2e-14
+
+
+@pytest.mark.parametrize("sigma", [0.15, 0.2, 0.25, 0.3, 0.45])
+@pytest.mark.parametrize("nbar", [1.0, 2.0, 5.0])
+def test_domain_scan_loses_no_basin_of_the_full_circle(nbar, sigma):
+    """Across the optimum's move from BPSK toward OOK (ROADMAP finding 6),
+    the domain scan finds an error no higher than the [0, pi) scan's."""
+    noise = PhaseNoise(sigma)
+    _, perr = optimize_helstrom(nbar, noise)
+    _, _, full_circle = _per_angle_optimize(nbar, noise, FULL_CIRCLE_GRID)
+    assert perr <= full_circle + 2e-14
+
+
 @pytest.mark.parametrize(("nbar", "dim"), [(5.0, 64), (20.0, 125)])
 def test_scan_stacks_stay_within_the_byte_budget(monkeypatch, nbar, dim):
     """Every stack the scan hands to trace_distance fits HELSTROM_STACK_BYTES:
-    at nbar 20 one 121-angle stack would take 15 MB."""
+    at nbar 20 one 63-angle stack would take 7.9 MB."""
     assert required_dim(2.0 * nbar) == dim
     sizes = []
     stacked = helstrom.trace_distance
