@@ -15,11 +15,12 @@ is.  The test suite guards the restriction with an imaginary-perturbation
 check.
 
 The search is fully deterministic: a dense (theta, beta) grid per threshold
-value seeds a damped Newton refinement in (theta, beta) from the best cell
-of each threshold, and from its next ``REFINE_SEEDS - 1`` cells too where
-that first descent is capped.  Seeds whose errors lie within
-``TIE_WINDOW`` of the best, relative to it, tie, and ties are broken by
-smaller ``K``, then smaller ``|beta|``, then smaller ``theta``.
+value seeds one damped Newton refinement in (theta, u) from the best cell
+of each threshold, with ``u = beta + alpha0(theta)`` the offset from
+nulling ``alpha0``, which straightens the noiseless nulling valley.  Seeds
+whose errors lie within ``TIE_WINDOW`` of the best, relative to it, tie,
+and ties are broken by smaller ``K``, then smaller ``|beta|``, then
+smaller ``theta``.
 
 Only the ``bit1_high`` decision rule is searched.  A receiver decoded
 ``bit0_high`` is its mirror twin decoded ``bit1_high``: swapping the bit
@@ -31,18 +32,19 @@ smooth ``bit1_high`` error, with no kink where the two labellings cross.
 
 The error probability is a phase average of Poisson CDFs ``F_K(mu)`` of the
 symbol intensities ``mu = a**2 + beta**2 + 2*a*beta*cos(phi)``, and
-``dF_K/dmu = -p_K(mu)``, so its gradient and Hessian in (theta, beta) are
+``dF_K/dmu = -p_K(mu)``, so its gradient and Hessian in (theta, u) are
 phase averages of the same kind.  The grid scan and refinement average on
 one fixed rule built once per problem: ``average``'s order-64 rung
 (``GRID_QUAD_ORDER``), folded.  The scan's beta axis is mirrored exactly,
 so it averages a table of amplitudes ``s*sin(i*pi/(2n))``, i = 0 .. n,
 that both symbols index (on an even grid of ``n`` angles they share its
-``n/2 + 1`` even rows), and gathers the grid from it.  Refinement steps on the Newton step of the
-Hessian's absolute curvatures, capped in length, and accepts it on the
-error averaged on that rule.  The adaptive ``generalized_kennedy_detail``
-certifies each seed's end point once, and its value is reported; a seed
-whose rule misses it by more than the tolerance goes on on the next rung of
-the same ladder, 64 -> 128 -> 256 -> 512 (``MAX_ORDER``).
+``n/2 + 1`` even rows), and gathers the grid from it.  Refinement steps on
+the Newton step of the Hessian's absolute curvatures, capped in length,
+and accepts it on the error averaged on that rule.  The adaptive
+``generalized_kennedy_detail`` certifies each seed's end point once, and
+its value is reported; a seed whose rule misses it by more than the
+tolerance goes on on the next rung of the same ladder,
+64 -> 128 -> 256 -> 512 (``MAX_ORDER``).
 """
 
 from __future__ import annotations
@@ -78,9 +80,6 @@ GRID_QUAD_ORDER = 2 * BASE_ORDER
 MAX_REFINE_ROUNDS = 60
 # Step length, in grid cells, below which a seed counts as converged.
 REFINE_TOLERANCE = 1e-8
-# Best grid cells refined per threshold whose first descent is capped;
-# every other threshold refines its best cell only.
-REFINE_SEEDS = 5
 # Relative error window within which refined seeds tie.
 TIE_WINDOW = 1e-12
 # Errors that mean an optimization failed numerically rather than was asked
@@ -107,15 +106,20 @@ class OptimizationProblem:
 
     @property
     def beta_max(self) -> float:
-        return 3.0 * math.sqrt(2.0 * self.nbar)
+        """The grid's beta half-width: three times the largest nulling
+        displacement ``sqrt(2*nbar)``, floored at 1.5, which binds below
+        nbar 0.125.  At vanishing signal the optimum is BPSK with ``beta``
+        near ``1/sqrt(2)``, where ``exp(-beta**2)`` is steepest; the floor
+        holds it with a twofold margin."""
+        return max(3.0 * math.sqrt(2.0 * self.nbar), 1.5)
 
 
 class Seed(NamedTuple):
     """One refined grid seed: threshold ``k``, end point ``(theta, beta)``,
     certified error ``perr``, audit ``trace`` of (round, search-rule error)
-    pairs, the grid-scaled gradient's norm at the end point on the last
-    search rule, whether it stopped on ``MAX_REFINE_ROUNDS`` still moving,
-    and that rule's ``order``."""
+    pairs, the norm of the gradient in grid-scaled (theta, u) at the end
+    point on the last search rule, whether it stopped on
+    ``MAX_REFINE_ROUNDS`` still moving, and that rule's ``order``."""
 
     k: int
     theta: float
@@ -139,8 +143,8 @@ class OptimizationResult:
     perr_sql: float
     perr_helstrom: float
     # The reported seed, and every refined seed below the ceiling (the winner
-    # among them) in refinement order: one per threshold, or ``REFINE_SEEDS``
-    # where the first is capped.  A lower ceiling picks among a prefix.
+    # among them): one per threshold, in threshold order.  A lower ceiling
+    # picks among a prefix.
     winner: Seed = field(repr=False)
     seeds: tuple[Seed, ...] = field(repr=False)
 
@@ -208,53 +212,49 @@ def _grid_scan(problem: OptimizationProblem, rule):
     return thetas, betas, grid[:, :n]
 
 
-def _select_seeds(perr: np.ndarray, nseeds: int) -> list[tuple[int, int, int]]:
-    """Deterministic seed set: the ``nseeds`` best grid cells of each
-    threshold (all of them on a smaller grid), best first and in row-major
-    order on ties, as the head of a stable ``argsort`` of each slice.
+def _select_seeds(perr: np.ndarray) -> list[tuple[int, int, int]]:
+    """Deterministic seed set: each threshold's best grid cell, the first
+    in row-major order on ties, with nan ranked as inf: the head of a
+    stable ``argsort`` of each slice.
 
-    A partition finds each slice's ``nseeds``-th smallest value, and only
-    the cells not above it are sorted.  A threshold's grid slice does not
-    depend on the PNR ceiling, so a higher ceiling refines every seed of a
-    lower one and its optimum can only be equal or lower.
+    A threshold's grid slice does not depend on the PNR ceiling, so a
+    higher ceiling refines every seed of a lower one and its optimum can
+    only be equal or lower.
     """
     flat = perr.reshape(perr.shape[0], -1)
-    n = min(nseeds, flat.shape[1])
-    kth = np.partition(flat, n - 1, axis=1)[:, n - 1]
-    seeds = []
-    for k, (row, limit) in enumerate(zip(flat, kth)):
-        # "not above" rather than "at or below": when the limit is nan, every
-        # cell stays a candidate, and nan sorts last as in a full argsort.
-        cells = np.flatnonzero(~(row > limit))
-        best = cells[np.argsort(row[cells], kind="stable")[:n]]
-        seeds += [(k, *(int(i) for i in np.unravel_index(int(f), perr.shape[1:])))
-                  for f in best]
-    return seeds
+    best = np.argmin(np.where(np.isnan(flat), np.inf, flat), axis=1)
+    return [(k, *(int(i) for i in np.unravel_index(int(f), perr.shape[1:])))
+            for k, f in enumerate(best)]
 
 
-def _derivatives(nbar: float, k: int, theta: float, beta: float,
+def _derivatives(nbar: float, k: int, theta: float, u: float,
                  scale: np.ndarray, rule) -> tuple[float, np.ndarray, np.ndarray]:
     """The ``bit1_high`` error probability at threshold ``k`` with its
     gradient and Hessian in grid-scaled coordinates
-    ``(theta/scale[0], beta/scale[1])``, averaged on the search rule
-    ``rule`` from one batch of intensities, as ``(value, grad, hess)``.
+    ``(theta/scale[0], u/scale[1])``, averaged on the search rule ``rule``
+    from one batch of intensities, as ``(value, grad, hess)``.
 
-    With ``a1 = s*sin(theta)``, ``a0 = s*cos(theta)`` and
-    ``F(mu) = P(count <= k | mu)``, the ``bit1_high`` error is
-    ``F(mu1)/2 + (1 - F(mu0))/2``; ``F' = -p_k`` and ``F'' = p_k - p_(k-1)``
-    give its derivatives by the chain rule.  The value averages the
+    With ``a1 = s*sin(theta)``, ``a0 = s*cos(theta)``, the displacement
+    ``beta = u - a0`` and ``F(mu) = P(count <= k | mu)``, the ``bit1_high``
+    error is ``F(mu1)/2 + (1 - F(mu0))/2``; ``F' = -p_k`` and
+    ``F'' = p_k - p_(k-1)`` give its derivatives by the chain rule.  At
+    fixed ``u``, ``d beta/d theta = a1`` and ``d2 beta/d theta2 = a0``; the
+    mu-derivatives are taken in (theta, u) directly, since the
+    (theta, beta) Hessian mapped over to (theta, u) cancels in the valley.  The value averages the
     integrand of ``generalized_kennedy_detail``, equal to it at sigma = 0.
     """
     s = math.sqrt(2.0 * nbar)
-    a = np.array([[s * math.sin(theta)], [s * math.cos(theta)]])  # alpha1, alpha0
-    da = np.array([[a[1, 0]], [-a[0, 0]]])  # d a / d theta; d2 a / d theta2 = -a
+    a1, a0 = s * math.sin(theta), s * math.cos(theta)
+    a = np.array([[a1], [a0]])
+    da = np.array([[a0], [-a1]])  # d a / d theta; d2 a / d theta2 = -a
+    beta = u - a0
     cos = rule.cos
     mu = _intensity(a, beta, cos, rule.sin)
     mu_a = 2.0 * (a + beta * cos)
-    mu_t = mu_a * da
     mu_b = 2.0 * (beta + a * cos)
-    mu_tt = 2.0 * da * da - mu_a * a
-    mu_tb = 2.0 * cos * da
+    mu_t = mu_a * da + mu_b * a1
+    mu_tt = 2.0 * (da * da + 2.0 * cos * da * a1 + a1 * a1) - mu_a * a + mu_b * a0
+    mu_tu = 2.0 * (cos * da + a1)
     pmf = _poisson_pmf(np.arange(max(k - 1, 0), k + 1.0)[:, None, None], mu)
     d1 = -pmf[-1]
     d2 = pmf[-1] - pmf[0] if k > 0 else pmf[-1]
@@ -262,13 +262,13 @@ def _derivatives(nbar: float, k: int, theta: float, beta: float,
         d1 * mu_t,
         d1 * mu_b,
         d2 * mu_t * mu_t + d1 * mu_tt,
-        d2 * mu_t * mu_b + d1 * mu_tb,
+        d2 * mu_t * mu_b + d1 * mu_tu,
         d2 * mu_b * mu_b + 2.0 * d1,
     ])
-    pt, pb, ptt, ptb, pbb = rule.average(0.5 * (terms[:, 0] - terms[:, 1]))
-    st, sb = scale
-    grad = np.array([pt * st, pb * sb])
-    hess = np.array([[ptt * (st * st), ptb * (st * sb)], [ptb * (st * sb), pbb * (sb * sb)]])
+    pt, pu, ptt, ptu, puu = rule.average(0.5 * (terms[:, 0] - terms[:, 1]))
+    st, su = scale
+    grad = np.array([pt * st, pu * su])
+    hess = np.array([[ptt * (st * st), ptu * (st * su)], [ptu * (st * su), puu * (su * su)]])
     return rule.average(_kennedy_error(k, mu)), grad, hess
 
 
@@ -292,8 +292,9 @@ def _newton_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.ndarra
 
 def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
             scale: np.ndarray, rule):
-    """Damped Newton descent of the ``bit1_high`` error in (theta, beta)
-    from one grid seed, on the search rule, at first the fixed ``rule``.
+    """Damped Newton descent of the ``bit1_high`` error in (theta, u),
+    ``u = beta + sqrt(2*nbar)*cos(theta)``, from the grid seed
+    ``(theta0, beta0)``, on the search rule, at first the fixed ``rule``.
 
     Coordinates are scaled by the grid steps ``scale``, so one unit is one
     grid cell.  Each round takes ``_newton_step`` on the current point's
@@ -312,8 +313,9 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
 
     Returns the fields of ``Seed`` after ``k``, in their order.
     """
-    theta, beta, order = theta0, beta0, GRID_QUAD_ORDER
-    value, grad, hess = _derivatives(problem.nbar, k, theta, beta, scale, rule)
+    s = math.sqrt(2.0 * problem.nbar)
+    theta, u, order = theta0, beta0 + s * math.cos(theta0), GRID_QUAD_ORDER
+    value, grad, hess = _derivatives(problem.nbar, k, theta, u, scale, rule)
     trace = [(0, value)]
     while True:
         radius = 1.0
@@ -322,26 +324,27 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
             length = math.hypot(*step)
             moved = 0.0
             if length >= REFINE_TOLERANCE:
-                dtheta, dbeta = step * scale
+                dtheta, du = step * scale
                 known = {0.0: (value, grad, hess)}  # by fraction of the step
 
-                def along(u: float) -> float:
-                    if u not in known:
-                        known[u] = _derivatives(problem.nbar, k, theta + u * dtheta,
-                                                beta + u * dbeta, scale, rule)
-                    return known[u][0]
+                def along(frac: float) -> float:
+                    if frac not in known:
+                        known[frac] = _derivatives(problem.nbar, k, theta + frac * dtheta,
+                                                   u + frac * du, scale, rule)
+                    return known[frac][0]
 
                 t = 1.0
                 if along(1.0) >= value:
                     t, _ = golden_minimize(along, 0.0, 1.0, xtol=REFINE_TOLERANCE / length)
                 if known[t][0] < value:
-                    theta, beta = theta + t * dtheta, beta + t * dbeta
+                    theta, u = theta + t * dtheta, u + t * du
                     value, grad, hess = known[t]
                     moved = t * length
             trace.append((iteration, value))
             if moved < REFINE_TOLERANCE:
                 break
             radius = min(1.0, 2.0 * moved)
+        beta = u - s * math.cos(theta)  # as ``_derivatives`` takes it
         cfg = ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=problem.pnr_ceiling)
         perr, _ = generalized_kennedy_detail(parametrize(theta, problem.nbar), cfg,
                                              problem.noise, problem.quad_tolerance)
@@ -353,15 +356,12 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
                                    f"{perr!r} by more than {problem.quad_tolerance}", value, perr)
         order = min(2 * order, MAX_ORDER)
         rule = build_rule(problem.noise, order).fold_even()
-        value, grad, hess = _derivatives(problem.nbar, k, theta, beta, scale, rule)
+        value, grad, hess = _derivatives(problem.nbar, k, theta, u, scale, rule)
 
 
 def _search(problem: OptimizationProblem) -> tuple[Seed, ...]:
-    """Grid scan and refinement below the ceiling, in threshold order.
-
-    Each threshold refines its best grid cell, and its next
-    ``REFINE_SEEDS - 1`` cells, best first, only where that descent is
-    capped (ROADMAP item 2); elsewhere its best cells share one basin.
+    """Grid scan and refinement below the ceiling: one seed per threshold,
+    refined from its best grid cell, in threshold order.
 
     Every rule of the search is folded onto phi >= 0: real amplitudes and
     a real displacement make every integrand averaged on it, the grid
@@ -371,12 +371,8 @@ def _search(problem: OptimizationProblem) -> tuple[Seed, ...]:
     rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
     thetas, betas, grid_perr = _grid_scan(problem, rule)
     scale = np.array([thetas[1] - thetas[0], betas[1] - betas[0]])
-    seeds: list[Seed] = []
-    for k, i, j in _select_seeds(grid_perr, REFINE_SEEDS):
-        if next((s.capped for s in seeds if s.k == k), True):  # no seed yet, or the first capped
-            seeds.append(Seed(k, *_refine(problem, k, float(thetas[i]), float(betas[j]),
-                                          scale, rule)))
-    return tuple(seeds)
+    return tuple(Seed(k, *_refine(problem, k, float(thetas[i]), float(betas[j]), scale, rule))
+                 for k, i, j in _select_seeds(grid_perr))
 
 
 def _pick(problem: OptimizationProblem, seeds: tuple[Seed, ...]) -> OptimizationResult:
@@ -404,8 +400,8 @@ def _pick(problem: OptimizationProblem, seeds: tuple[Seed, ...]) -> Optimization
 
 def optimize(problem: OptimizationProblem) -> OptimizationResult:
     """Full deterministic search: exhaustive threshold scan, dense grid
-    seeding, then damped Newton refinement of each threshold's best seed
-    (its best ``REFINE_SEEDS`` where that one is capped).  The winner is
+    seeding, then damped Newton refinement in (theta, u) of each
+    threshold's best grid cell, one seed per threshold.  The winner is
     reported as its ``bit1_high`` twin, with the error that certified its
     refinement, so ``(perr, BIT1_HIGH)`` equals
     ``generalized_kennedy_detail`` at the reported configuration."""
