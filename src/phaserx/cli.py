@@ -247,6 +247,7 @@ def _cmd_optimize(args) -> int:
     print(f"perr_helstrom = {_fmt(result.perr_helstrom)}")
     print(f"sub_sql = {str(result.perr < result.perr_sql).lower()}")
     print(f"gradient_norm = {_fmt(result.winner.gradient_norm)}")
+    print(f"predicted_decrease = {_fmt(result.winner.predicted_decrease)}")
     print(f"capped_seeds = {sum(s.capped for s in result.seeds)}")
 
     if trials is not None:

@@ -38,13 +38,18 @@ one fixed rule built once per problem: ``average``'s order-64 rung
 (``GRID_QUAD_ORDER``), folded.  The scan's beta axis is mirrored exactly,
 so it averages a table of amplitudes ``s*sin(i*pi/(2n))``, i = 0 .. n,
 that both symbols index (on an even grid of ``n`` angles they share its
-``n/2 + 1`` even rows), and gathers the grid from it.  Refinement steps on
-the Newton step of the Hessian's absolute curvatures, capped in length,
-and accepts it on the error averaged on that rule.  The adaptive
-``generalized_kennedy_detail`` certifies each seed's end point once, and
-its value is reported; a seed whose rule misses it by more than the
-tolerance goes on on the next rung of the same ladder,
-64 -> 128 -> 256 -> 512 (``MAX_ORDER``).
+``n/2 + 1`` even rows), and gathers the grid from it.  Per phase node it
+adds the weighted Poisson terms ``w*p_j(mu)`` into threshold ``j``, from
+one division-free recurrence, and sums over thresholds once after the
+last node.  Refinement steps on the Newton step of the Hessian's absolute
+curvatures, capped in length, and accepts it on the error averaged on
+that rule.  The adaptive ``generalized_kennedy_detail`` certifies each
+seed's end point once, and its value is reported; a seed whose rule misses
+it by more than the tolerance goes on on the next rung of the same ladder,
+64 -> 128 -> 256 -> 512 (``MAX_ORDER``).  Each seed records the decrease
+that one more uncapped Newton step predicts there, relative to its error:
+a stationarity measure free of the grid's units and the curvature's
+scale.
 """
 
 from __future__ import annotations
@@ -67,8 +72,8 @@ from .receivers import (
     ReceiverConfig,
     _intensity,
     _kennedy_error,
-    _poisson_cdfs,
     _poisson_pmf,
+    _poisson_terms,
     displaced_intensity,
     generalized_kennedy_detail,
     perr_sql_baseline,
@@ -119,7 +124,14 @@ class Seed(NamedTuple):
     certified error ``perr``, audit ``trace`` of (round, search-rule error)
     pairs, the norm of the gradient in grid-scaled (theta, u) at the end
     point on the last search rule, whether it stopped on
-    ``MAX_REFINE_ROUNDS`` still moving, and that rule's ``order``."""
+    ``MAX_REFINE_ROUNDS`` still moving, that rule's ``order``, and the
+    ``predicted_decrease`` of the end point's Newton step relative to
+    ``perr``, ``g @ inv(|H|) @ g / (2*perr)`` on the same rule.
+
+    ``gradient_norm`` carries the grid's units and the curvature's scale,
+    so it cannot tell a converged seed from a stalled one.  The predicted
+    decrease is free of both: it is what one more uncapped Newton step
+    expects to gain, as a share of the error."""
 
     k: int
     theta: float
@@ -129,6 +141,7 @@ class Seed(NamedTuple):
     gradient_norm: float
     capped: bool
     order: int
+    predicted_decrease: float
 
 
 @dataclass(frozen=True)
@@ -177,6 +190,14 @@ def _grid_scan(problem: OptimizationProblem, rule):
     Cell ``c`` reads the rows of ``theta_j``, ``j = min(c, n - c)``, with
     the beta axis reversed for ``alpha0`` where ``cos(theta) < 0``, as
     ``mu(-a, beta) = mu(a, -beta)``.  The grid only seeds refinement.
+
+    Per node ``(w, phi)`` the table's rows take the Poisson terms of
+    ``_poisson_terms`` from the first term ``w*exp(-mu)``: threshold ``j``
+    adds the weighted ``p_j``, one multiply pair and one add per
+    threshold, with no division and no CDF per node.  After the last node
+    the running sum over thresholds, ``K - 1`` in-place adds, turns the
+    averaged terms into averaged CDFs ``P(count <= k)``.  That rounds
+    differently from averaging each node's CDFs, by below 2e-15 absolute.
     """
     n, m = problem.grid_resolution, problem.beta_resolution
     s = math.sqrt(2.0 * problem.nbar)
@@ -193,13 +214,19 @@ def _grid_scan(problem: OptimizationProblem, rule):
     amps[zero[:rows], 0] = s * np.cos(thetas[:rows])
     amps[one[:rows], 0] = s * np.sin(thetas[:rows])
 
-    # grid[k] accumulates P(count <= k | amplitude) per row in its leading rows.
+    # grid[j] accumulates the weighted term P(count = j | amplitude) per row
+    # in its leading rows, and the running sum over j turns it into
+    # P(count <= j | amplitude).
     grid = np.zeros((problem.pnr_ceiling, n + 1, m))
     table = grid[:, :amps.size]
-    weighted = np.empty(table.shape[1:])
     for w, phi in zip(rule.weights, rule.nodes):
-        for acc, cdf in zip(table, _poisson_cdfs(displaced_intensity(amps, betas, phi))):
-            acc += np.multiply(w, cdf, out=weighted)
+        mu = displaced_intensity(amps, betas, phi)
+        first = np.exp(-mu)
+        first *= w
+        for acc, term in zip(table, _poisson_terms(mu, first)):
+            acc += term
+    for below, acc in zip(table, table[1:]):
+        acc += below
 
     # Cells 0 .. n//2 read their own rows, and cells n//2 + 1 .. n - 1, where
     # cos(theta) < 0, those of n - c; each threshold gathers from a copy.
@@ -220,11 +247,19 @@ def _select_seeds(perr: np.ndarray) -> list[tuple[int, int, int]]:
     A threshold's grid slice does not depend on the PNR ceiling, so a
     higher ceiling refines every seed of a lower one and its optimum can
     only be equal or lower.
+
+    Each threshold's slice of the scan's grid is contiguous, so it is
+    searched in place.  ``argmin`` lands on the first nan where there is
+    one; only then is the slice searched again with nan masked as inf.
     """
-    flat = perr.reshape(perr.shape[0], -1)
-    best = np.argmin(np.where(np.isnan(flat), np.inf, flat), axis=1)
-    return [(k, *(int(i) for i in np.unravel_index(int(f), perr.shape[1:])))
-            for k, f in enumerate(best)]
+    seeds = []
+    for k, grid in enumerate(perr):
+        flat = grid.reshape(-1)
+        best = int(np.argmin(flat))
+        if np.isnan(flat[best]):
+            best = int(np.argmin(np.where(np.isnan(flat), np.inf, flat)))
+        seeds.append((k, *(int(i) for i in np.unravel_index(best, grid.shape))))
+    return seeds
 
 
 def _derivatives(nbar: float, k: int, theta: float, u: float,
@@ -349,8 +384,10 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
         perr, _ = generalized_kennedy_detail(parametrize(theta, problem.nbar), cfg,
                                              problem.noise, problem.quad_tolerance)
         if abs(value - perr) <= problem.quad_tolerance * perr:
+            # the uncapped step is -inv(|H|) @ g
+            predicted = -0.5 * float(grad @ _newton_step(grad, hess, math.inf)) / perr
             return (theta, beta, perr, tuple(trace), math.hypot(*grad),
-                    moved >= REFINE_TOLERANCE, order)
+                    moved >= REFINE_TOLERANCE, order, predicted)
         if order >= MAX_ORDER:
             raise ConvergenceError(f"refinement rule of order {order} misses the adaptive error "
                                    f"{perr!r} by more than {problem.quad_tolerance}", value, perr)

@@ -240,6 +240,8 @@ def test_optimize_report_and_trace(tmp_path, capsys, monkeypatch):
     assert all(a >= b - 1e-15 for a, b in zip(perrs, perrs[1:]))
     [result] = results
     assert kv["gradient_norm"] == cli._fmt(result.winner.gradient_norm)
+    assert kv["predicted_decrease"] == cli._fmt(result.winner.predicted_decrease)
+    assert 0.0 <= float(kv["predicted_decrease"]) <= 1e-12
     assert kv["capped_seeds"] == str(sum(s.capped for s in result.seeds))
     assert rows == [[str(i), cli._fmt(p)] for i, p in result.winner.trace]
 

@@ -326,7 +326,8 @@ def test_pick_ties_seeds_within_the_relative_window():
 
     def picked_k(perr0, perr1):
         seeds = tuple(Seed(k=k, theta=0.8, beta=0.5, perr=perr, trace=((0, perr),),
-                           gradient_norm=0.0, capped=False, order=GRID_QUAD_ORDER)
+                           gradient_norm=0.0, capped=False, order=GRID_QUAD_ORDER,
+                           predicted_decrease=0.0)
                       for k, perr in ((0, perr0), (1, perr1)))
         return _pick(problem, seeds).config.threshold_k
 
@@ -582,8 +583,12 @@ def test_every_seed_records_the_gradient_norm_at_its_end_point(monkeypatch):
             # ``_derivatives`` reads u only through beta = u - s*cos(theta)
             u = seed.beta + s * math.cos(seed.theta)
             assert u - s * math.cos(seed.theta) == seed.beta
-            _, grad, _ = _derivatives(problem.nbar, seed.k, seed.theta, u, scale, rule)
+            _, grad, hess = _derivatives(problem.nbar, seed.k, seed.theta, u, scale, rule)
             assert seed.gradient_norm == math.hypot(*grad)
+            # g @ inv(|H|) @ g / (2*perr), summed over the eigenvectors of H
+            lam, vecs = np.linalg.eigh(hess)
+            predicted = 0.5 * float(np.sum((vecs.T @ grad) ** 2 / np.abs(lam))) / seed.perr
+            assert abs(seed.predicted_decrease - predicted) <= 1e-9 * predicted
             seen["capped"] += seed.capped
             # an accepted move always lowers the error
             trace = seed.trace
@@ -622,6 +627,22 @@ def test_a_seed_converging_in_the_last_round_is_not_capped(monkeypatch):
     # converged there
     assert [s.trace for s in res.seeds] == [s.trace for s in free]
     assert not any(s.capped for s in res.seeds)
+
+
+def test_predicted_decrease_tells_a_converged_seed_from_a_stalled_one(monkeypatch):
+    """In the noiseless valley (PNR 1, default knobs) ``gradient_norm``
+    reads 2.2e-3*perr at nbar 8 and 22*perr at nbar 10, though both
+    optima have converged.  The predicted decrease of one more Newton step,
+    relative to perr, is below 1e-12 at the optima at nbar 5, 8 and 10,
+    and above 1e-3 at nbar 8 when refinement stops after 2 rounds."""
+    for nbar in (5.0, 8.0, 10.0):
+        res = default_optimum(nbar, 0.0, 1)
+        assert not res.winner.capped
+        assert 0.0 <= res.winner.predicted_decrease <= 1e-12, nbar
+    monkeypatch.setattr("phaserx.optimizer.MAX_REFINE_ROUNDS", 2)
+    res = optimize(OptimizationProblem(nbar=8.0, noise=PhaseNoise(0.0), pnr_ceiling=1))
+    assert res.winner.capped
+    assert res.winner.predicted_decrease >= 1e-3
 
 
 @pytest.mark.parametrize("nbar, sigma", [(5.0, 0.0), (1e-4, 0.2)])
@@ -775,11 +796,44 @@ def _grid_scan_per_cell(problem, rule, thetas, betas):
     return 0.5 + 0.5 * gap
 
 
-def _grid_scan_allocating(problem, rule):
-    """Reference for ``_grid_scan``: ``w * cdf`` into a fresh array per
-    threshold and node, on an out-of-place Poisson recurrence and the
-    complex-amplitude intensity.  At even n, alpha0 of angle j is the
-    shared row ``s*sin(thetas[n//2 - j])``."""
+def _weighted_term_sums(rule, mus, pnr):
+    """The scan's arithmetic in fresh arrays: each node's weighted Poisson
+    terms ``w*exp(-mu)*mu**k/k!`` into threshold ``k``, each term the last
+    times ``mu`` times ``1.0/k``, then the running sum over thresholds."""
+    table = np.zeros((pnr, *mus[0].shape))
+    for w, mu in zip(rule.weights, mus):
+        term = w * np.exp(-mu)
+        for k in range(pnr):
+            if k:
+                term = term * mu * (1.0 / k)
+            table[k] = table[k] + term
+    for k in range(1, pnr):
+        table[k] = table[k - 1] + table[k]
+    return table
+
+
+def _per_node_cdf_sums(rule, mus, pnr):
+    """The oracle the scan's term sums replaced: each node's Poisson CDFs
+    ``P(count <= k)``, from the recurrence dividing each term by ``k``,
+    weighted into threshold ``k``."""
+    table = np.zeros((pnr, *mus[0].shape))
+    for w, mu in zip(rule.weights, mus):
+        term = np.exp(-mu)
+        cdf = term
+        for k in range(pnr):
+            if k:
+                term = term * mu / k
+                cdf = cdf + term
+            table[k] = table[k] + w * cdf
+    return table
+
+
+def _grid_scan_allocating(problem, rule, sums):
+    """Reference for ``_grid_scan`` in fresh arrays, on the
+    complex-amplitude intensity: the axes and amplitude table built as the
+    scan builds them, ``P(count <= k | row)`` averaged by ``sums``, and the
+    grid gathered from it.  At even n, alpha0 of angle j is the shared row
+    ``s*sin(thetas[n//2 - j])``."""
     n, m = problem.grid_resolution, problem.beta_resolution
     s = math.sqrt(2.0 * problem.nbar)
     thetas = np.linspace(0.0, math.pi, n, endpoint=False)
@@ -790,16 +844,8 @@ def _grid_scan_allocating(problem, rule):
     rows = n // 2 + 1
     zero = s * (np.cos(thetas[:rows]) if n % 2 else np.sin(thetas[n // 2 - np.arange(rows)]))
     amps = np.concatenate([s * np.sin(thetas[:rows]), zero])[:, None]
-    table = np.zeros((problem.pnr_ceiling, amps.size, m))
-    for w, phi in zip(rule.weights, rule.nodes):
-        mu = displaced_intensity(amps.astype(complex), betas, phi)
-        term = np.exp(-mu)
-        cdf = term
-        for k, acc in enumerate(table):
-            if k:
-                term = term * mu / k
-                cdf = cdf + term
-            acc += w * cdf
+    mus = [displaced_intensity(amps.astype(complex), betas, phi) for phi in rule.nodes]
+    table = sums(rule, mus, problem.pnr_ceiling)
     for acc in table:
         one, zero = acc[:rows], acc[rows:]
         gap = np.concatenate([one, one[n - rows:0:-1]])
@@ -810,20 +856,41 @@ def _grid_scan_allocating(problem, rule):
     return thetas, betas, table[:, :n]
 
 
-@pytest.mark.parametrize("nbar, sigma, pnr, n, m", [
+SCAN_CASES = [
     (1.87, 0.3, 8, 181, 241), (2.0, 0.0, 3, 31, 41), (0.01, 1.0, 2, 31, 40),
     (25.0, 0.2, 8, 30, 41), (40.0, 0.1, 4, 31, 41), (1.87, 0.3, 8, 182, 241),
-])
+]
+
+
+@pytest.mark.parametrize("nbar, sigma, pnr, n, m", SCAN_CASES)
 def test_grid_scan_is_bit_identical_to_fresh_array_accumulation(nbar, sigma, pnr, n, m):
-    """The scan's one scratch array for ``w * cdf``, the in-place
-    recurrence and the real-amplitude intensity give the grid of fresh
-    arrays bit for bit, on odd and even grids (the default's 182 among
-    them) and past the recurrence limit."""
+    """The scan's in-place term recurrence, its in-place sums and the
+    real-amplitude intensity give the grid of fresh arrays bit for bit, on
+    odd and even grids (the default's 182 among them) and past the
+    recurrence limit."""
     problem = OptimizationProblem(nbar=nbar, noise=PhaseNoise(sigma), pnr_ceiling=pnr,
                                   grid_resolution=n, beta_resolution=m)
     rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
-    for got, want in zip(_grid_scan(problem, rule), _grid_scan_allocating(problem, rule)):
-        assert np.array_equal(got, want)
+    want = _grid_scan_allocating(problem, rule, _weighted_term_sums)
+    for got, ref in zip(_grid_scan(problem, rule), want):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("nbar, sigma, pnr, n, m", SCAN_CASES + [
+    (2.0, 0.3, 32, 182, 241), (1e-3, 0.0, 1, 182, 241),
+])
+def test_grid_scan_matches_per_node_cdf_accumulation(nbar, sigma, pnr, n, m):
+    """Summing weighted terms over the nodes and then over the thresholds
+    rounds differently from accumulating each node's CDFs, but only in the
+    last bits: the grid is within 2e-15 absolute of that oracle and seeds
+    the same cells, up to PNR 32 and at vanishing signal."""
+    problem = OptimizationProblem(nbar=nbar, noise=PhaseNoise(sigma), pnr_ceiling=pnr,
+                                  grid_resolution=n, beta_resolution=m)
+    rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
+    _, _, got = _grid_scan(problem, rule)
+    _, _, want = _grid_scan_allocating(problem, rule, _per_node_cdf_sums)
+    assert np.abs(got - want).max() <= 2e-15
+    assert _select_seeds(got) == _select_seeds_argsort(want, 1)
 
 
 @pytest.mark.parametrize("nbar, sigma, pnr", [
@@ -1021,6 +1088,11 @@ def test_select_seeds_equals_stable_argsort():
             assert _select_seeds(perr) == _select_seeds_argsort(perr, 1)
             perr[-1] = math.nan
             assert _select_seeds(perr) == _select_seeds_argsort(perr, 1)
+            # a strided view, as the scan returns, whose extra row is never
+            # picked
+            padded = np.full((shape[0], shape[1] + 1, shape[2]), -1.0)
+            padded[:, :-1] = perr
+            assert _select_seeds(padded[:, :-1]) == _select_seeds_argsort(perr, 1)
 
 
 def test_optimize_on_a_grid_smaller_than_the_seed_count():
