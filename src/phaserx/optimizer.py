@@ -19,8 +19,8 @@ value seeds one damped Newton refinement in (theta, u) from the best cell
 of each threshold, with ``u = beta + alpha0(theta)`` the offset from
 nulling ``alpha0``, which straightens the noiseless nulling valley.  Seeds
 whose errors lie within ``TIE_WINDOW`` of the best, relative to it, tie,
-and ties are broken by smaller ``K``, then smaller ``|beta|``, then
-smaller ``theta``.
+and the tie goes to the smallest ``K``: one seed per threshold leaves
+nothing else to break.
 
 Only the ``bit1_high`` decision rule is searched.  A receiver decoded
 ``bit0_high`` is its mirror twin decoded ``bit1_high``: swapping the bit
@@ -49,7 +49,7 @@ it by more than the tolerance goes on on the next rung of the same ladder,
 64 -> 128 -> 256 -> 512 (``MAX_ORDER``).  Each seed records the decrease
 that one more uncapped Newton step predicts there, relative to its error:
 a stationarity measure free of the grid's units and the curvature's
-scale.
+scale, on which refinement stops once it is below ``eps``.
 """
 
 from __future__ import annotations
@@ -83,8 +83,6 @@ from .receivers import (
 # ``average``'s second rung, so every search rule is one of its orders.
 GRID_QUAD_ORDER = 2 * BASE_ORDER
 MAX_REFINE_ROUNDS = 60
-# Step length, in grid cells, below which a seed counts as converged.
-REFINE_TOLERANCE = 1e-8
 # Relative error window within which refined seeds tie.
 TIE_WINDOW = 1e-12
 # Errors that mean an optimization failed numerically rather than was asked
@@ -126,7 +124,7 @@ class Seed(NamedTuple):
     point on the last search rule, whether it stopped on
     ``MAX_REFINE_ROUNDS`` still moving, that rule's ``order``, and the
     ``predicted_decrease`` of the end point's Newton step relative to
-    ``perr``, ``g @ inv(|H|) @ g / (2*perr)`` on the same rule.
+    ``perr``, ``g @ inv(|H|) @ g / (2*perr)`` on the same rule (0 at 0).
 
     ``gradient_norm`` carries the grid's units and the curvature's scale,
     so it cannot tell a converged seed from a stalled one.  The predicted
@@ -307,22 +305,18 @@ def _derivatives(nbar: float, k: int, theta: float, u: float,
     return rule.average(_kennedy_error(k, mu)), grad, hess
 
 
-def _newton_step(grad: np.ndarray, hess: np.ndarray, radius: float) -> np.ndarray:
-    """Newton step on the absolute curvatures of ``hess``, shortened to
-    ``radius`` when longer (Nocedal & Wright, *Numerical Optimization*,
-    2nd ed., section 3.4).
+def _newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """Newton step on the absolute curvatures of ``hess`` (Nocedal &
+    Wright, *Numerical Optimization*, 2nd ed., section 3.4).
 
     Each gradient component along an eigenvector of ``hess`` is divided by
     the magnitude of its eigenvalue, floored at the smallest normal double,
     so a nonzero gradient gives a descent direction, and the plain Newton
     step where ``hess`` is positive definite.  Along a zero curvature the
-    component is huge but finite (for gradient components below about 4),
-    and the cap shortens the step to ``radius``.
+    component is huge but finite (for gradient components below about 4).
     """
     lam, vecs = np.linalg.eigh(hess)
-    step = -vecs @ ((vecs.T @ grad) / np.maximum(np.abs(lam), sys.float_info.min))
-    length = math.hypot(*step)
-    return step if length <= radius else step * (radius / length)
+    return -vecs @ ((vecs.T @ grad) / np.maximum(np.abs(lam), sys.float_info.min))
 
 
 def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
@@ -333,12 +327,14 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
 
     Coordinates are scaled by the grid steps ``scale``, so one unit is one
     grid cell.  Each round takes ``_newton_step`` on the current point's
-    ``_derivatives``, capped at ``radius`` (at most one cell); if the step
-    does not lower the error, ``golden_minimize`` searches along it.  The
-    next cap is twice the accepted step, at most one cell, and the descent
-    stops once the accepted step is shorter than ``REFINE_TOLERANCE``
-    cells, or after ``MAX_REFINE_ROUNDS`` rounds.  Each evaluated point
-    keeps its ``_derivatives``, so none is computed twice.
+    ``_derivatives`` and stops once its predicted decrease is at most
+    ``eps`` times the error, or the error is 0: one more step would gain
+    less than an ulp.  Otherwise the step, capped at one cell, is tried; if
+    it does not lower the error, ``golden_minimize`` searches along it to
+    ``sqrt(eps / predicted)`` of its length, below which points differ by
+    less than an ulp.  A round that finds no lower point ends the descent;
+    ``MAX_REFINE_ROUNDS`` ends it ``capped``.  Each evaluated point keeps
+    its ``_derivatives``, so none is computed twice.
 
     The adaptive ``generalized_kennedy_detail`` at the end point certifies
     it and is the seed's error.  Where the rule's value misses it by more
@@ -348,18 +344,18 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
 
     Returns the fields of ``Seed`` after ``k``, in their order.
     """
+    eps = sys.float_info.epsilon
     s = math.sqrt(2.0 * problem.nbar)
     theta, u, order = theta0, beta0 + s * math.cos(theta0), GRID_QUAD_ORDER
     value, grad, hess = _derivatives(problem.nbar, k, theta, u, scale, rule)
     trace = [(0, value)]
     while True:
-        radius = 1.0
         for iteration in range(len(trace), len(trace) + MAX_REFINE_ROUNDS):
-            step = _newton_step(grad, hess, radius)
-            length = math.hypot(*step)
-            moved = 0.0
-            if length >= REFINE_TOLERANCE:
-                dtheta, du = step * scale
+            step = _newton_step(grad, hess)
+            decrease = -0.5 * float(grad @ step)  # g @ inv(|H|) @ g / 2
+            moved = False
+            if value > 0.0 and decrease > eps * value:
+                dtheta, du = step * scale / max(1.0, math.hypot(*step))
                 known = {0.0: (value, grad, hess)}  # by fraction of the step
 
                 def along(frac: float) -> float:
@@ -370,24 +366,23 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
 
                 t = 1.0
                 if along(1.0) >= value:
-                    t, _ = golden_minimize(along, 0.0, 1.0, xtol=REFINE_TOLERANCE / length)
-                if known[t][0] < value:
+                    t, _ = golden_minimize(along, 0.0, 1.0,
+                                           xtol=math.sqrt(eps * value / decrease))
+                moved = known[t][0] < value
+                if moved:
                     theta, u = theta + t * dtheta, u + t * du
                     value, grad, hess = known[t]
-                    moved = t * length
             trace.append((iteration, value))
-            if moved < REFINE_TOLERANCE:
+            if not moved:
                 break
-            radius = min(1.0, 2.0 * moved)
         beta = u - s * math.cos(theta)  # as ``_derivatives`` takes it
         cfg = ReceiverConfig(beta=beta, threshold_k=k, pnr_ceiling=problem.pnr_ceiling)
         perr, _ = generalized_kennedy_detail(parametrize(theta, problem.nbar), cfg,
                                              problem.noise, problem.quad_tolerance)
         if abs(value - perr) <= problem.quad_tolerance * perr:
-            # the uncapped step is -inv(|H|) @ g
-            predicted = -0.5 * float(grad @ _newton_step(grad, hess, math.inf)) / perr
-            return (theta, beta, perr, tuple(trace), math.hypot(*grad),
-                    moved >= REFINE_TOLERANCE, order, predicted)
+            # nothing is left to decrease from an error of 0
+            predicted = -0.5 * float(grad @ _newton_step(grad, hess)) / perr if perr else 0.0
+            return (theta, beta, perr, tuple(trace), math.hypot(*grad), moved, order, predicted)
         if order >= MAX_ORDER:
             raise ConvergenceError(f"refinement rule of order {order} misses the adaptive error "
                                    f"{perr!r} by more than {problem.quad_tolerance}", value, perr)
@@ -414,13 +409,13 @@ def _search(problem: OptimizationProblem) -> tuple[Seed, ...]:
 
 def _pick(problem: OptimizationProblem, seeds: tuple[Seed, ...]) -> OptimizationResult:
     """The result at ``problem``'s ceiling: the best of the refined
-    ``seeds`` with ``k < pnr_ceiling`` under the tie-break, with its own
-    ``perr_sql`` and ``perr_helstrom``.  Seeds tie when their errors are
-    within ``TIE_WINDOW`` of the best, relative to it."""
+    ``seeds`` with ``k < pnr_ceiling``, with its own ``perr_sql`` and
+    ``perr_helstrom``.  Seeds tie when their errors are within
+    ``TIE_WINDOW`` of the best, relative to it, and the first of them in
+    threshold order, the smallest ``K``, wins."""
     candidates = tuple(s for s in seeds if s.k < problem.pnr_ceiling)
     best_perr = min(s.perr for s in candidates)
-    winner = min((s for s in candidates if s.perr <= best_perr * (1.0 + TIE_WINDOW)),
-                 key=lambda s: (s.k, abs(s.beta), s.theta, s.beta))
+    winner = next(s for s in candidates if s.perr <= best_perr * (1.0 + TIE_WINDOW))
 
     constellation = parametrize(winner.theta, problem.nbar)
     return OptimizationResult(

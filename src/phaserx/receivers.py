@@ -158,15 +158,18 @@ def _poisson_cdfs(mu):
 
 
 def poisson_cdf(k: int, mu: np.ndarray) -> np.ndarray:
-    """Poisson ``P(count <= k)`` for every finite mean.
+    """Poisson ``P(count <= k)`` for every finite mean ``mu >= 0``.
 
     Means up to ``_RECURRENCE_LIMIT`` take the stable all-positive term
     recurrence, accurate to a few 1e-15 relative.  Larger means take
-    ``scipy.special.pdtr`` instead, so the recurrence never sees them.
+    ``scipy.special.pdtr`` instead, so the recurrence never sees them.  A
+    negative or nan mean raises ``ValueError``.
     """
     k = check_count("k", k, 0)
     mu = np.asarray(mu, dtype=float)
-    # One reduction decides the common case, where no mean is large.
+    # The least mean (nan if any is) rejects bad means, the largest picks the path.
+    if not mu.min(initial=math.inf) >= 0.0:
+        raise ValueError(f"Poisson means must be >= 0, got {float(mu.min())!r}")
     if mu.max(initial=-math.inf) > _RECURRENCE_LIMIT:
         large = mu > _RECURRENCE_LIMIT
         return np.where(large, pdtr(k, mu), poisson_cdf(k, np.where(large, 0.0, mu)))

@@ -287,6 +287,16 @@ def test_optimize_validate_z_where_the_analytic_error_is_zero(nbar, z, monkeypat
     assert kv["validate_z"] == z
 
 
+def test_optimize_where_the_error_underflows_to_zero(capsys):
+    """At nbar 400, sigma 0 the optimum's error underflows to 0.0; the
+    report says so, with nothing left to decrease, and exits 0."""
+    assert main(["optimize", "--nbar", "400", "--sigma", "0", "--pnr", "1"]) == EXIT_OK
+    kv = parse_kv(capsys.readouterr().out)
+    assert float(kv["perr"]) == 0.0
+    assert float(kv["predicted_decrease"]) == 0.0
+    assert kv["capped_seeds"] == "0"
+
+
 def test_efficiency_rescales_photon_number(capsys):
     assert main(["sql", "--nbar", "4", "--sigma", "0", "--efficiency", "0.5"]) == EXIT_OK
     lossy = parse_kv(capsys.readouterr().out)

@@ -311,6 +311,17 @@ def test_sweep_records_failures_per_cell():
     assert "ConvergenceError" in failed.error
 
 
+def test_sweep_fills_a_cell_whose_error_underflows_to_zero():
+    """At nbar 400, sigma 0 the error underflows to 0.0: the cell holds a
+    result whose predicted decrease is 0, with nothing left to decrease,
+    rather than the sweep raising ``ZeroDivisionError``."""
+    [[cell]] = sweep_sigma(400.0, [0.0], [1])
+    assert cell.error is None
+    assert cell.result.perr == 0.0
+    assert cell.result.winner.predicted_decrease == 0.0
+    assert not cell.result.winner.capped
+
+
 def test_bright_optimum_reports_its_best_seed():
     """Below 1e-12 an absolute tie window tied every seed, and the smaller-K
     tie-break then reported a seed up to 30 times worse than the best.  The
@@ -491,10 +502,10 @@ def test_folded_rule_steers_like_the_full_rule(sigma, k, labelling):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_newton_step_is_a_capped_descent_step():
-    """The plain Newton step where the Hessian is positive definite and the
-    step fits; never longer than the cap; downhill for random symmetric
-    Hessians, definite or not; and finite at a saddle point."""
+def test_newton_step_is_a_descent_step():
+    """The plain Newton step where the Hessian is positive definite;
+    downhill for random symmetric Hessians, definite or not; and finite at
+    a saddle point and along a zero curvature."""
     rng = np.random.default_rng(5)
     cases = [(np.array([1e-3, -2e-3]), np.array([[4.0, 1.0], [1.0, 2.0]]))]
     for _ in range(40):
@@ -502,24 +513,20 @@ def test_newton_step_is_a_capped_descent_step():
         cases.append((rng.normal(size=2), a + a.T))
     newton_steps = 0
     for g, h in cases:
-        newton = np.linalg.solve(h, -g)
-        for radius in (1e-3, 0.5, 1.0):
-            p = _newton_step(g, h, radius)
-            assert math.hypot(*p) <= radius * (1.0 + 1e-15)
-            assert g @ p < 0.0
-            if np.linalg.eigvalsh(h)[0] > 0.0 and math.hypot(*newton) <= radius:
-                assert math.hypot(*(p - newton)) <= 1e-13 * math.hypot(*newton)
-                newton_steps += 1
+        p = _newton_step(g, h)
+        assert g @ p < 0.0
+        if np.linalg.eigvalsh(h)[0] > 0.0:
+            newton = np.linalg.solve(h, -g)
+            assert math.hypot(*(p - newton)) <= 1e-13 * math.hypot(*newton)
+            newton_steps += 1
     assert newton_steps >= 3
-    p = _newton_step(np.zeros(2), np.diag([-1.0, 3.0]), 1.0)
+    p = _newton_step(np.zeros(2), np.diag([-1.0, 3.0]))
     assert np.all(np.isfinite(p))
-    # a zero curvature: the component along it goes to the cap, not to nan
+    # a zero curvature: the component along it is huge, not inf or nan
     for g in (np.array([1e-17, 1.0]), np.array([0.0, 1.0])):
-        for radius in (1e-3, 0.5, 1.0):
-            p = _newton_step(g, np.diag([0.0, 3.0]), radius)
-            assert np.all(np.isfinite(p))
-            assert math.hypot(*p) <= radius * (1.0 + 1e-15)
-            assert g @ p < 0.0
+        p = _newton_step(g, np.diag([0.0, 3.0]))
+        assert np.all(np.isfinite(p))
+        assert g @ p < 0.0
 
 
 def test_zero_curvature_does_not_end_a_seed():
@@ -614,6 +621,34 @@ def test_the_winner_is_a_seed_and_is_what_the_result_reports():
         assert res.constellation == parametrize(w.theta, problem.nbar)
 
 
+def test_a_converged_seed_spends_no_trial_evaluation(monkeypatch):
+    """Restarted from its own end point, a refined seed stops in its first
+    round on every rung it climbs: one more Newton step predicts a decrease
+    below the error's rounding level, so no step and no line search is
+    tried, and ``_derivatives`` runs only at each rung's start."""
+    problem = OptimizationProblem(nbar=2.0, noise=PhaseNoise(0.3), pnr_ceiling=8)
+    res = default_optimum(2.0, 0.3, 8)
+    thetas = np.linspace(0.0, math.pi, problem.grid_resolution, endpoint=False)
+    betas = np.linspace(-problem.beta_max, problem.beta_max, problem.beta_resolution)
+    scale = np.array([thetas[1] - thetas[0], betas[1] - betas[0]])
+    rule = build_rule(problem.noise, GRID_QUAD_ORDER).fold_even()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _derivatives(*args)
+
+    monkeypatch.setattr("phaserx.optimizer._derivatives", counted)
+    assert len(res.seeds) == 8
+    for seed in res.seeds:
+        calls.clear()
+        again = Seed(seed.k, *_refine(problem, seed.k, seed.theta, seed.beta, scale, rule))
+        starts = 1 + int(math.log2(seed.order // GRID_QUAD_ORDER))
+        assert len(calls) == starts, (seed.k, len(calls), starts)
+        assert again.order == seed.order and not again.capped
+        assert abs(again.perr - seed.perr) <= 1e-14 * seed.perr
+
+
 def test_a_seed_converging_in_the_last_round_is_not_capped(monkeypatch):
     """With the round cap set to the round in which a seed converges, that
     seed is not capped: only the seeds still moving at the cap are."""
@@ -631,7 +666,7 @@ def test_a_seed_converging_in_the_last_round_is_not_capped(monkeypatch):
 
 def test_predicted_decrease_tells_a_converged_seed_from_a_stalled_one(monkeypatch):
     """In the noiseless valley (PNR 1, default knobs) ``gradient_norm``
-    reads 2.2e-3*perr at nbar 8 and 22*perr at nbar 10, though both
+    reads 2.2e-3*perr at nbar 8 and 1.4*perr at nbar 10, though both
     optima have converged.  The predicted decrease of one more Newton step,
     relative to perr, is below 1e-12 at the optima at nbar 5, 8 and 10,
     and above 1e-3 at nbar 8 when refinement stops after 2 rounds."""
@@ -696,6 +731,19 @@ def test_noiseless_optimum_matches_a_40_digit_stationary_point(nbar):
                                              res.config.beta.real))
         exact = error(theta, beta)
     assert abs(res.perr - exact) <= 1e-12 * exact, (res.perr, exact)
+
+
+@pytest.mark.xfail(strict=True, reason="bright noiseless optima end capped, well above exact "
+                   "nulling (ROADMAP finding 16)")
+@pytest.mark.parametrize("nbar", [30.0, 50.0])
+def test_bright_noiseless_optimum_is_no_worse_than_exact_nulling(nbar):
+    """Tripwire: at sigma 0, PNR 1 exact nulling of BPSK is feasible, with
+    error exp(-4*nbar)/2, so the optimum is no worse and its seed ends
+    uncapped.  Today the K = 0 seed stops on the round cap, at 11 times
+    that bound at nbar 30 and 3.3e17 times it at nbar 50."""
+    res = default_optimum(nbar, 0.0, 1)
+    assert not any(s.capped for s in res.seeds)
+    assert res.perr <= 0.5 * math.exp(-4.0 * nbar)
 
 
 def test_vanishing_signal_is_no_worse_than_bpsk():

@@ -181,6 +181,18 @@ def test_poisson_cdf_keeps_its_return_types():
         assert poisson_cdf(k, np.array([1.0, 2.0])).shape == (2,)
 
 
+@pytest.mark.parametrize("k, mu", [
+    (0, -1.0),                        # read 2.718281828459045
+    (2, -3.0),                        # read 50.2
+    (2, math.nan),                    # read nan
+    (3, np.array([1.0, -1e-300])),    # one bad mean in an array
+    (3, np.array([800.0, math.nan])),  # beside a mean that takes pdtr
+])
+def test_poisson_cdf_rejects_negative_and_nan_means(k, mu):
+    with pytest.raises(ValueError, match="Poisson means"):
+        poisson_cdf(k, mu)
+
+
 def test_perr_ook_dd_closed_form():
     assert perr_ook_dd(2.0) == pytest.approx(OOK_DD_2, rel=1e-14)
     assert perr_ook_dd(0.0) == 0.5
