@@ -40,7 +40,6 @@ from .receivers import (
     generalized_kennedy_detail,
     perr_bpsk_hom,
     perr_generalized_kennedy,
-    perr_helstrom_noiseless,
     perr_ook_dd,
     perr_sql_baseline,
     photocount_distribution,
@@ -72,7 +71,6 @@ __all__ = [
     "perr_bpsk_hom",
     "perr_generalized_kennedy",
     "perr_helstrom",
-    "perr_helstrom_noiseless",
     "perr_ook_dd",
     "perr_sql_baseline",
     "phase_diffused_state",

@@ -50,7 +50,6 @@ from .receivers import (
     ReceiverConfig,
     generalized_kennedy_detail,
     perr_bpsk_hom,
-    perr_helstrom_noiseless,
     perr_ook_dd,
     photocount_distribution,
 )
@@ -171,7 +170,7 @@ def _cmd_sweep_nbar(args) -> int:
                 _fmt(perr_ook_dd(nb)),
                 _fmt(perr_bpsk_hom(nb, noiseless)),
                 _fmt(perr_kennedy),
-                _fmt(perr_helstrom_noiseless(bpsk)),
+                _fmt(perr_helstrom(bpsk, noiseless)),
             ]
         )
     with _open_output(args.output) as fh:
@@ -312,7 +311,7 @@ def _cmd_helstrom(args) -> int:
         c = parametrize(theta, args.efficiency * args.nbar)
         label = "parametrized"
     perr = perr_helstrom(c, noise)
-    perr_noiseless = perr_helstrom_noiseless(c)
+    perr_noiseless = perr_helstrom(c, PhaseNoise(0.0))
     print(f"constellation = {label}")
     print(f"alpha0 = {c.alpha0}")
     print(f"alpha1 = {c.alpha1}")

@@ -5,8 +5,8 @@ state whose Fock-basis matrix elements are those of the pure state damped
 by ``<exp(i*(m - n)*phi)>_phi``, the phase law's characteristic function
 ``noise.characteristic(m - n)``.  The minimum achievable
 error probability for two such states is half of one minus half the trace
-norm of their difference; at ``sigma = 0`` it reduces to the pure-state
-closed form in :func:`phaserx.receivers.perr_helstrom_noiseless`.
+norm of their difference, or, where the channel keeps the states pure,
+the pure-state closed form.
 """
 
 from __future__ import annotations
@@ -75,11 +75,20 @@ def required_dim(peak_photon_number: float) -> int:
     return math.ceil(mu + 10.0 * math.sqrt(mu + 1.0) + 20.0)
 
 
-def fock_dim(amplitudes) -> int:
+def fock_dim(amplitudes, dim: int | None = None) -> int:
     """The one truncation rule of the Helstrom path: ``required_dim`` of the
     brightest ``abs(a) ** 2`` among ``amplitudes``, squared by Python (C pow),
-    since numpy's square of ``np.abs`` differs by an ulp for some amplitudes."""
-    return required_dim(max(abs(a) ** 2 for a in amplitudes))
+    since numpy's square of ``np.abs`` differs by an ulp for some amplitudes.
+    An explicit ``dim`` is returned once checked not to fall below it."""
+    peak = max(abs(a) ** 2 for a in amplitudes)
+    need = required_dim(peak)
+    dim = need if dim is None else check_count("dim", dim, 1)
+    if dim < need:
+        raise ValueError(
+            f"dim = {dim} is too small for |alpha|^2 = {peak:.6g}; "
+            f"need at least {need} to keep the truncated tail below ~1e-12"
+        )
+    return dim
 
 
 @functools.lru_cache(maxsize=8)
@@ -117,13 +126,7 @@ def phase_diffused_state(
     alphas = [check_amplitude("alpha", a) for a in alpha.ravel().tolist()]
     # Python's abs(a) ** 2, the photon numbers fock_dim sizes the matrix by
     mus = [abs(a) ** 2 for a in alphas]
-    need = fock_dim(alphas)
-    dim = need if dim is None else check_count("dim", dim, 1)
-    if dim < need:
-        raise ValueError(
-            f"dim = {dim} is too small for |alpha|^2 = {max(mus):.6g}; "
-            f"need at least {need} to keep the truncated tail below ~1e-12"
-        )
+    dim = fock_dim(alphas, dim)
 
     m = np.arange(dim)
     rows = alpha.shape + (1,)
@@ -155,8 +158,13 @@ def trace_distance(a: FockDensityMatrix, b: FockDensityMatrix):
 
 
 def _helstrom_error(alpha0, alpha1, noise: PhaseNoise, dim: int):
-    """``(1 - trace_distance)/2`` of the dephased symbol pairs, clipped to
-    [0, 1/2]: a float for two amplitudes, an array for two stacks."""
+    """Helstrom error of the symbol pairs, 0-d for two amplitudes, an array
+    for two stacks: where ``noise.characteristic(1) == 1`` keeps the states
+    pure, the closed form ``exp(-d)/(2*(1 + sqrt(1 - exp(-d))))``, ``d = |a1
+    - a0|**2``; else ``(1 - trace_distance)/2`` at ``dim``, clipped to [0, 1/2]."""
+    if noise.characteristic(1) == 1.0:
+        d = np.abs(np.subtract(alpha1, alpha0)) ** 2
+        return np.exp(-d) / (2.0 * (1.0 + np.sqrt(-np.expm1(-d))))
     distance = trace_distance(phase_diffused_state(alpha0, noise, dim),
                               phase_diffused_state(alpha1, noise, dim))
     return np.minimum(np.maximum(0.5 * (1.0 - distance), 0.0), 0.5)
@@ -169,13 +177,12 @@ def perr_helstrom(
 ) -> float:
     """Minimum error probability over all measurements, for dephased symbols.
 
-    Builds both symbol states at a common truncation and evaluates
-    ``(1 - trace_distance)/2``.  That difference carries about 1e-15 of
-    absolute rounding, so a value below about 1e-12 has no relative
-    precision (ROADMAP item 7).
+    Where the channel keeps the states pure, the exact closed form; else
+    builds both symbol states at a common truncation and evaluates
+    ``(1 - trace_distance)/2``, whose ~1e-15 of absolute rounding leaves a
+    value below about 1e-12 no relative precision (ROADMAP item 7).
     """
-    if dim is None:
-        dim = fock_dim((c.alpha0, c.alpha1))
+    dim = fock_dim((c.alpha0, c.alpha1), dim)
     return float(_helstrom_error(c.alpha0, c.alpha1, noise, dim))
 
 
@@ -190,10 +197,10 @@ def optimize_helstrom(nbar: float, noise: PhaseNoise) -> tuple[BinaryConstellati
     and theta -> pi/2 - theta swaps the labels, which leaves the error of
     equal priors unchanged.  The refined angle stays within one grid step
     of the interval, so where OOK is best ``alpha0`` is the dim symbol.
-    The scan builds its states as stacks, in chunks of angles whose stack
-    of real matrices fits in ``HELSTROM_STACK_BYTES``, and takes each
-    chunk's trace distances from one batched eigensolve; every value equals
-    the ``perr_helstrom`` of its angle.  Used for the bound optimized
+    The scan takes chunks of angles whose stack of real matrices fits in
+    ``HELSTROM_STACK_BYTES``, each from one batched eigensolve, or from the
+    closed form where the channel keeps the states pure; every value
+    equals the ``perr_helstrom`` of its angle.  Used for the bound optimized
     independently of any concrete receiver.
     """
     check_nbar(nbar, positive=True)

@@ -40,6 +40,7 @@ from .receivers import (
     BIT1_HIGH,
     _RECURRENCE_LIMIT,
     ReceiverConfig,
+    _check_means,
     _poisson_cdfs,
     displaced_intensity,
     poisson_cdf,
@@ -80,10 +81,12 @@ def poisson_inverse(u: np.ndarray, mu: np.ndarray, max_count: int = 2000) -> np.
     along :func:`~phaserx.receivers._poisson_cdfs`, the package's one
     Poisson recurrence; exact, and equal to that decision, for means up to
     ``-log(tiny) ~ 708.4``.  A larger mean raises ``ValueError``: there
-    ``poisson_cdf`` takes ``pdtr``, which the recurrence does not match.
-    ``max_count`` only guards against a (probability ~2^-53) stall once the
-    term recurrence has underflowed.
+    ``poisson_cdf`` takes ``pdtr``, which the recurrence does not match,
+    and a negative or nan mean raises as it does there.  ``max_count`` only
+    guards against a (probability ~2^-53) stall once the term recurrence
+    has underflowed.
     """
+    mu = _check_means(mu)
     if np.any(mu > _RECURRENCE_LIMIT):
         raise ValueError(f"Poisson mean {np.max(mu)} is above the recurrence "
                          f"limit {_RECURRENCE_LIMIT:.4f} of poisson_inverse")

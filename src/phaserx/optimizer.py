@@ -17,10 +17,9 @@ check.
 The search is fully deterministic: a dense (theta, beta) grid per threshold
 value seeds one damped Newton refinement in (theta, u) from the best cell
 of each threshold, with ``u = beta + alpha0(theta)`` the offset from
-nulling ``alpha0``, which straightens the noiseless nulling valley.  Seeds
-whose errors lie within ``TIE_WINDOW`` of the best, relative to it, tie,
-and the tie goes to the smallest ``K``: one seed per threshold leaves
-nothing else to break.
+nulling ``alpha0``, which straightens the noiseless nulling valley.  The
+seed with the least error wins, and an exact tie goes to the smallest
+``K``: one seed per threshold leaves nothing else to break.
 
 Only the ``bit1_high`` decision rule is searched.  A receiver decoded
 ``bit0_high`` is its mirror twin decoded ``bit1_high``: swapping the bit
@@ -83,8 +82,6 @@ from .receivers import (
 # ``average``'s second rung, so every search rule is one of its orders.
 GRID_QUAD_ORDER = 2 * BASE_ORDER
 MAX_REFINE_ROUNDS = 60
-# Relative error window within which refined seeds tie.
-TIE_WINDOW = 1e-12
 # Errors that mean an optimization failed numerically rather than was asked
 # for something invalid: a sweep records them per cell, the CLI exits 4.
 NUMERICAL_FAILURES = (ConvergenceError, np.linalg.LinAlgError)
@@ -410,12 +407,10 @@ def _search(problem: OptimizationProblem) -> tuple[Seed, ...]:
 def _pick(problem: OptimizationProblem, seeds: tuple[Seed, ...]) -> OptimizationResult:
     """The result at ``problem``'s ceiling: the best of the refined
     ``seeds`` with ``k < pnr_ceiling``, with its own ``perr_sql`` and
-    ``perr_helstrom``.  Seeds tie when their errors are within
-    ``TIE_WINDOW`` of the best, relative to it, and the first of them in
-    threshold order, the smallest ``K``, wins."""
+    ``perr_helstrom``.  The first seed in threshold order with the least
+    error wins, so an exact tie goes to the smallest ``K``."""
     candidates = tuple(s for s in seeds if s.k < problem.pnr_ceiling)
-    best_perr = min(s.perr for s in candidates)
-    winner = next(s for s in candidates if s.perr <= best_perr * (1.0 + TIE_WINDOW))
+    winner = min(candidates, key=lambda s: s.perr)
 
     constellation = parametrize(winner.theta, problem.nbar)
     return OptimizationResult(

@@ -157,6 +157,15 @@ def _poisson_cdfs(mu):
         cdf += next(terms)
 
 
+def _check_means(mu) -> np.ndarray:
+    """``mu`` as a float array; a negative or nan mean raises ``ValueError``."""
+    mu = np.asarray(mu, dtype=float)
+    # the least mean is nan if any is
+    if not mu.min(initial=math.inf) >= 0.0:
+        raise ValueError(f"Poisson means must be >= 0, got {float(mu.min())!r}")
+    return mu
+
+
 def poisson_cdf(k: int, mu: np.ndarray) -> np.ndarray:
     """Poisson ``P(count <= k)`` for every finite mean ``mu >= 0``.
 
@@ -166,10 +175,7 @@ def poisson_cdf(k: int, mu: np.ndarray) -> np.ndarray:
     negative or nan mean raises ``ValueError``.
     """
     k = check_count("k", k, 0)
-    mu = np.asarray(mu, dtype=float)
-    # The least mean (nan if any is) rejects bad means, the largest picks the path.
-    if not mu.min(initial=math.inf) >= 0.0:
-        raise ValueError(f"Poisson means must be >= 0, got {float(mu.min())!r}")
+    mu = _check_means(mu)
     if mu.max(initial=-math.inf) > _RECURRENCE_LIMIT:
         large = mu > _RECURRENCE_LIMIT
         return np.where(large, pdtr(k, mu), poisson_cdf(k, np.where(large, 0.0, mu)))
@@ -290,13 +296,3 @@ def perr_sql_baseline(nbar: float, noise: PhaseNoise,
     """
     return min(perr_ook_dd(nbar), perr_bpsk_hom(nbar, noise, tolerance))
 
-
-def perr_helstrom_noiseless(c: BinaryConstellation) -> float:
-    """Quantum-optimal error probability for two pure coherent states.
-
-    ``(1 - sqrt(1 - exp(-|a1 - a0|**2)))/2``, evaluated in the rearranged
-    form ``exp(-d2) / (2 * (1 + sqrt(1 - exp(-d2))))`` which has no
-    cancellation for well-separated symbols.
-    """
-    d2 = c.separation() ** 2
-    return 0.5 * math.exp(-d2) / (1.0 + math.sqrt(-math.expm1(-d2)))

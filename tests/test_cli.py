@@ -8,7 +8,8 @@ import pytest
 from phaserx import cli, optimizer
 from phaserx.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from phaserx.phasenoise import PhaseNoise
-from phaserx.receivers import perr_bpsk_hom, perr_helstrom_noiseless, perr_ook_dd
+from phaserx.helstrom import perr_helstrom
+from phaserx.receivers import perr_bpsk_hom, perr_ook_dd
 from phaserx.constellation import make_bpsk
 
 OOK_DD_2 = 0.009157819444367090146
@@ -335,10 +336,10 @@ def test_helstrom_report(capsys):
     kv = parse_kv(capsys.readouterr().out)
     assert kv["constellation"] == "parametrized"
     assert float(kv["perr_helstrom"]) == pytest.approx(
-        perr_helstrom_noiseless(make_bpsk(2.0)), abs=1e-10
+        perr_helstrom(make_bpsk(2.0), PhaseNoise(0.0)), abs=1e-10
     )
     assert float(kv["perr_helstrom_noiseless"]) == pytest.approx(
-        perr_helstrom_noiseless(make_bpsk(2.0)), rel=1e-10
+        perr_helstrom(make_bpsk(2.0), PhaseNoise(0.0)), rel=1e-10
     )
 
 

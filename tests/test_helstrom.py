@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import poisson
 
 from phaserx import helstrom
-from phaserx.constellation import make_bpsk, make_ook, parametrize
+from phaserx.constellation import BinaryConstellation, make_bpsk, make_ook, parametrize
 from phaserx.golden import golden_minimize
 from phaserx.helstrom import (
     HELSTROM_GRID,
@@ -21,7 +21,7 @@ from phaserx.helstrom import (
     trace_distance,
 )
 from phaserx.phasenoise import PhaseNoise
-from phaserx.receivers import _poisson_pmf, perr_helstrom_noiseless
+from phaserx.receivers import _poisson_pmf
 
 # Pure-state closed-form references for BPSK at fixed nbar:
 HELSTROM_BPSK = {
@@ -148,16 +148,54 @@ def test_noiseless_matches_pure_state_closed_form():
         assert got == pytest.approx(want, abs=1e-12)
 
 
-@pytest.mark.xfail(reason="(1 - trace_distance)/2 carries ~1e-15 of absolute "
-                   "rounding, so a small value loses its relative precision "
-                   "(ROADMAP item 7)")
-@pytest.mark.parametrize("nbar", [5.0, 8.0, 10.0])
-def test_noiseless_value_has_relative_precision(nbar):
-    """Tripwire for item 7: today the relative errors are -1.15e-6, -0.334
-    and -1 (the value reads exactly 0 at nbar 10)."""
-    want = perr_helstrom_noiseless(make_bpsk(nbar))
-    got = perr_helstrom(make_bpsk(nbar), NOISELESS)
-    assert abs(got - want) <= 1e-9 * want
+def _pure_helstrom_40_digits(c):
+    """``(1 - sqrt(1 - exp(-d)))/2``, ``d = |alpha1 - alpha0|**2`` from the
+    amplitudes as stored, to 40 digits: the working precision carries the
+    ``d/ln(10)`` digits that the subtraction from 1 cancels."""
+    mp = pytest.importorskip("mpmath").mp
+    lost = math.ceil(abs(c.alpha1 - c.alpha0) ** 2 / math.log(10.0))
+    with mp.workdps(40 + lost):
+        d = abs(mp.mpc(c.alpha1) - mp.mpc(c.alpha0)) ** 2
+        return float((1 - mp.sqrt(1 - mp.exp(-d))) / 2)
+
+
+# BPSK from nbar 0.5 to 30, and two complex pairs.
+PURE_PAIRS = {f"bpsk{nbar:g}": make_bpsk(nbar)
+              for nbar in (0.5, 1.0, 2.0, 5.0, 8.0, 10.0, 20.0, 30.0)}
+PURE_PAIRS.update(complex1=BinaryConstellation(1.3 - 0.6j, -0.4 + 1.1j),
+                  complex2=BinaryConstellation(2.0 - 1.0j, 0.5 + 2.5j))
+
+
+@pytest.mark.parametrize("name", PURE_PAIRS)
+def test_noiseless_value_has_relative_precision(name):
+    """ROADMAP item 7's noiseless half: at nbar 5, 8 and 10 (1 -
+    trace_distance)/2 was off by -1.15e-6, -0.334 and -1 relative; the
+    closed form is within 1e-13 of 40 digits."""
+    c = PURE_PAIRS[name]
+    want = _pure_helstrom_40_digits(c)
+    assert abs(perr_helstrom(c, NOISELESS) - want) <= 1e-13 * want
+
+
+def test_noiseless_value_builds_no_state_and_keeps_its_input_checks(monkeypatch):
+    """Where the channel keeps the states pure no density matrix is built
+    and no eigensolve runs; an explicit ``dim`` is still checked as the
+    state builder checks it."""
+    def never(*args):
+        raise AssertionError("a state or an eigensolve was computed")
+
+    monkeypatch.setattr(helstrom, "phase_diffused_state", never)
+    monkeypatch.setattr(helstrom, "trace_distance", never)
+    c = make_bpsk(4.0)
+    want = perr_helstrom(c, NOISELESS)
+    assert perr_helstrom(c, NOISELESS, dim=fock_dim((c.alpha0, c.alpha1))) == want
+    # a law whose first coefficient rounds to 1 keeps the states pure
+    assert PhaseNoise(1e-9).characteristic(1) == 1.0
+    assert perr_helstrom(c, PhaseNoise(1e-9)) == want
+    for bad in (0, 2.5):
+        with pytest.raises(ValueError, match="dim must be"):
+            perr_helstrom(c, NOISELESS, dim=bad)
+    with pytest.raises(ValueError, match="need at least"):
+        perr_helstrom(c, NOISELESS, dim=4)
 
 
 def test_truncation_is_converged():
@@ -189,7 +227,19 @@ def test_optimize_helstrom_noiseless_prefers_phase_keying():
     c, perr = optimize_helstrom(2.0, NOISELESS)
     # symmetric antipodal pair is optimal without noise
     assert abs(abs(c.alpha0) - abs(c.alpha1)) < 1e-3
-    assert perr == pytest.approx(perr_helstrom_noiseless(make_bpsk(2.0)), rel=1e-4)
+    assert perr == pytest.approx(HELSTROM_BPSK[2.0], rel=1e-4)
+
+
+@pytest.mark.parametrize("nbar", [0.3, 2.0, 5.0, 8.0, 30.0])
+def test_noiseless_optimize_helstrom_lands_on_bpsk(nbar):
+    """Without noise the pure-state error falls with the separation, which
+    BPSK maximizes at fixed power: the scan's last angle, 3*pi/4, wins
+    outright and golden refinement cannot beat it."""
+    c, perr = optimize_helstrom(nbar, NOISELESS)
+    bpsk = parametrize(3 * math.pi / 4, nbar)
+    assert (c.alpha0, c.alpha1) == (bpsk.alpha0, bpsk.alpha1)
+    want = perr_helstrom(make_bpsk(nbar), NOISELESS)
+    assert abs(perr - want) <= 1e-13 * want
 
 
 def test_optimize_helstrom_improves_on_named_constellations():
@@ -322,24 +372,40 @@ def _per_angle_optimize(nbar, noise, thetas=DOMAIN_GRID):
 @pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("nbar", [0.3, 2.0, 8.0])
 def test_stacked_scan_equals_per_angle_loop(monkeypatch, nbar, sigma):
-    """Bit-equality with the per-angle oracle.  At nbar 0.3 numpy's square of
-    np.abs(alpha) and Python's abs(alpha) ** 2 differ by an ulp at some
-    angles, so a stack that squared in numpy would move values here."""
+    """Where the channel dephases, bit-equality with the per-angle oracle.
+    At nbar 0.3 numpy's square of np.abs(alpha) and Python's abs(alpha) ** 2
+    differ by an ulp at some angles, so a stack that squared in numpy would
+    move values here.  Where it keeps the states pure, no eigensolve runs
+    and every scan value is its angle's ``perr_helstrom`` bit for bit."""
     noise = PhaseNoise(sigma)
-    scanned = []
-    stacked = helstrom.trace_distance
+    scanned, closed, solves = [], [], []
+    stacked, error = helstrom.trace_distance, helstrom._helstrom_error
 
     def spy(a, b):
         out = stacked(a, b)
+        solves.append(a.elements.shape)
         if a.elements.ndim == 3:
             scanned.extend(np.clip(0.5 * (1.0 - out), 0.0, 0.5).tolist())
         return out
 
+    def error_spy(alpha0, alpha1, noise, dim):
+        out = error(alpha0, alpha1, noise, dim)
+        if np.ndim(out):
+            closed.extend(out.tolist())
+        return out
+
     monkeypatch.setattr(helstrom, "trace_distance", spy)
+    if sigma == 0.0:
+        monkeypatch.setattr(helstrom, "_helstrom_error", error_spy)
     c, perr = optimize_helstrom(nbar, noise)
+    assert type(perr) is float
+    if sigma == 0.0:
+        assert solves == []
+        want = [perr_helstrom(parametrize(t, nbar), noise) for t in DOMAIN_GRID]
+        assert [v.hex() for v in closed] == [v.hex() for v in want]
+        return
     values, want_c, want_perr = _per_angle_optimize(nbar, noise)
     assert [v.hex() for v in scanned] == [v.hex() for v in values]
-    assert type(perr) is float
     assert perr.hex() == want_perr.hex()
     assert (c.alpha0, c.alpha1) == (want_c.alpha0, want_c.alpha1)
 

@@ -84,6 +84,14 @@ def test_poisson_inverse_refuses_means_above_the_recurrence_limit():
             poisson_inverse(u, np.array([1.0, mu]))
 
 
+def test_poisson_inverse_rejects_negative_and_nan_means():
+    """As ``poisson_cdf`` does, rather than sampling 0 counts."""
+    u = np.full(2, 0.5)
+    for bad in (-1e-300, -1.0, math.nan):
+        with pytest.raises(ValueError, match="Poisson means must be >= 0"):
+            poisson_inverse(u, np.array([1.0, bad]))
+
+
 def test_threshold_decision_matches_inverse_cdf_sampling():
     """``u >= P(count <= K)`` is exactly the event ``poisson_inverse(u) > K``."""
     rng = np.random.default_rng(12345)

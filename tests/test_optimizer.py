@@ -9,7 +9,6 @@ from phaserx.constellation import BinaryConstellation, parametrize
 from phaserx.optimizer import (
     GRID_QUAD_ORDER,
     MAX_REFINE_ROUNDS,
-    TIE_WINDOW,
     OptimizationProblem,
     Seed,
     _derivatives,
@@ -324,15 +323,13 @@ def test_sweep_fills_a_cell_whose_error_underflows_to_zero():
 
 def test_bright_optimum_reports_its_best_seed():
     """Below 1e-12 an absolute tie window tied every seed, and the smaller-K
-    tie-break then reported a seed up to 30 times worse than the best.  The
-    K = 3 seeds agree to a few ulps, so the winner ties with the best
-    rather than equals it."""
+    tie-break then reported a seed up to 30 times worse than the best."""
     result = optimize(fast_problem(10.0, 0.005, 4))
     assert result.config.threshold_k == 3
-    assert result.perr <= min(s.perr for s in result.seeds) * (1.0 + TIE_WINDOW)
+    assert result.perr == min(s.perr for s in result.seeds)
 
 
-def test_pick_ties_seeds_within_the_relative_window():
+def test_pick_breaks_an_exact_tie_on_the_smallest_k():
     problem = fast_problem(2.0, 0.1, 2)
 
     def picked_k(perr0, perr1):
@@ -342,11 +339,12 @@ def test_pick_ties_seeds_within_the_relative_window():
                       for k, perr in ((0, perr0), (1, perr1)))
         return _pick(problem, seeds).config.threshold_k
 
-    # a tie goes to the smaller K, at any scale of the error
-    assert picked_k(0.25 * (1.0 + 1e-13), 0.25) == 0
-    assert picked_k(1e-14 * (1.0 + 1e-13), 1e-14) == 0
-    # a gap above the window is not a tie, however small in absolute terms
-    assert picked_k(1e-14 * (1.0 + 1e-11), 1e-14) == 1
+    # an exact tie goes to the smaller K, at any scale of the error
+    assert picked_k(0.25, 0.25) == 0
+    assert picked_k(1e-14, 1e-14) == 0
+    # the least error wins, however small the gap
+    assert picked_k(math.nextafter(0.25, 1.0), 0.25) == 1
+    assert picked_k(1e-14, math.nextafter(1e-14, 1.0)) == 0
 
 
 def test_sweep_validation(monkeypatch):
@@ -813,8 +811,9 @@ def test_one_seed_search_matches_refining_every_seed():
     each threshold, on the 4 bench-shaped sweeps (nbar 1.5 to 2.5, sigma 0
     to 0.45, PNR 1 and 8), 10 drawn problems, the noiseless valley at nbar
     5 and 8, and vanishing signal at nbar 1e-3: the same K, an error no
-    higher beyond the tie window, each threshold's one seed is the
-    reference's first, and no seed of either search is capped."""
+    higher than 1e-12 relative above the reference's, each threshold's one
+    seed is the reference's first, and no seed of either search is
+    capped."""
     cases = [(nbar, sigma, pnr) for nbar in np.linspace(1.5, 2.5, 4)
              for sigma in (0.0, 0.15, 0.3, 0.45) for pnr in (1, 8)]
     cases += [*_drawn_problems(10), (5.0, 0.0, 1), (8.0, 0.0, 2), (1e-3, 0.0, 1)]
@@ -824,7 +823,7 @@ def test_one_seed_search_matches_refining_every_seed():
         res, every = optimize(problem), _search_every_seed(problem)
         ref = _pick(problem, every)
         assert res.config.threshold_k == ref.config.threshold_k
-        assert res.perr <= ref.perr * (1.0 + TIE_WINDOW)
+        assert res.perr <= ref.perr * (1.0 + 1e-12)
         for k in range(pnr):
             assert [s for s in res.seeds if s.k == k] == [s for s in every if s.k == k][:1]
         capped += sum(s.capped for s in every)

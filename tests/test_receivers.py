@@ -7,6 +7,7 @@ from scipy.special import pdtrc
 from scipy.stats import poisson
 
 from phaserx.constellation import BinaryConstellation, make_bpsk, make_ook, parametrize
+from phaserx.helstrom import perr_helstrom
 from phaserx.phasenoise import PhaseNoise, average, build_rule
 from phaserx.receivers import (
     BIT1_HIGH,
@@ -17,7 +18,6 @@ from phaserx.receivers import (
     generalized_kennedy_detail,
     perr_bpsk_hom,
     perr_generalized_kennedy,
-    perr_helstrom_noiseless,
     perr_ook_dd,
     perr_sql_baseline,
     photocount_distribution,
@@ -437,12 +437,12 @@ def test_sql_baseline_branch_switch():
 
 
 def test_helstrom_noiseless_values():
-    assert perr_helstrom_noiseless(make_bpsk(2.0)) == pytest.approx(HELSTROM_BPSK_2, rel=1e-13)
+    assert perr_helstrom(make_bpsk(2.0), NOISELESS) == pytest.approx(HELSTROM_BPSK_2, rel=1e-13)
     # zero separation: coin toss
-    assert perr_helstrom_noiseless(BinaryConstellation(0.7, 0.7)) == 0.5
+    assert perr_helstrom(BinaryConstellation(0.7, 0.7), NOISELESS) == 0.5
     # depends only on the separation
-    a = perr_helstrom_noiseless(BinaryConstellation(0.0, 1.5))
-    b = perr_helstrom_noiseless(BinaryConstellation(2.0 - 1.0j, 2.0 - 1.0j + 1.5j))
+    a = perr_helstrom(BinaryConstellation(0.0, 1.5), NOISELESS)
+    b = perr_helstrom(BinaryConstellation(2.0 - 1.0j, 2.0 - 1.0j + 1.5j), NOISELESS)
     assert a == pytest.approx(b, rel=1e-14)
 
 
@@ -450,5 +450,5 @@ def test_helstrom_is_below_every_receiver():
     for nbar in (0.5, 2.0):
         c = make_bpsk(nbar)
         cfg = ReceiverConfig(beta=math.sqrt(nbar), threshold_k=0, pnr_ceiling=1)
-        assert perr_helstrom_noiseless(c) < perr_generalized_kennedy(c, cfg, NOISELESS)
-        assert perr_helstrom_noiseless(c) < perr_bpsk_hom(nbar, NOISELESS)
+        assert perr_helstrom(c, NOISELESS) < perr_generalized_kennedy(c, cfg, NOISELESS)
+        assert perr_helstrom(c, NOISELESS) < perr_bpsk_hom(nbar, NOISELESS)
