@@ -20,7 +20,6 @@ from .helstrom import (
     optimize_helstrom,
     perr_helstrom,
     phase_diffused_state,
-    required_dim,
     trace_distance,
 )
 from .montecarlo import TrialConfig, simulate_perr
@@ -77,7 +76,6 @@ __all__ = [
     "photocount_distribution",
     "poisson_cdf",
     "psd_watts_per_hz",
-    "required_dim",
     "simulate_perr",
     "sweep_sigma",
     "trace_distance",

@@ -278,8 +278,8 @@ def _cmd_pk(args) -> int:
     noise = PhaseNoise(args.sigma)
     kmax = args.kmax
     if kmax is None:
-        mu_peak = (abs(alpha) + abs(args.beta)) ** 2
-        kmax = math.ceil(mu_peak + 10.0 * math.sqrt(mu_peak + 1.0) + 10.0)
+        # the photocount mean peaks at (|alpha| + |beta|)**2 over the phase
+        kmax = fock_dim((abs(alpha) + abs(args.beta),)) - 1
     dist = photocount_distribution(alpha, args.beta, noise, kmax, args.tolerance)
     with _open_output(args.output) as fh:
         _write_csv(fh, "pk", args, ["k", "probability"],
@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="signal amplitude (python complex syntax, e.g. 1.2 or 1+0.5j)")
     p.add_argument("--beta", type=complex, default=0j, help="displacement")
     p.add_argument("--kmax", type=int, default=None,
-                   help="largest count to emit (default: covers the bulk)")
+                   help="largest count to emit (default: fock_dim of |alpha| + |beta|, less one)")
     p.add_argument("--output", default="-", help="CSV path, '-' for stdout")
     _add_common(p, nbar=False)
     p.set_defaults(func=_cmd_pk)

@@ -30,10 +30,6 @@ class BinaryConstellation:
         """Average photon number per symbol, ``(|a0|^2 + |a1|^2)/2``."""
         return 0.5 * (abs(self.alpha0) ** 2 + abs(self.alpha1) ** 2)
 
-    def separation(self) -> float:
-        """Distance ``|alpha1 - alpha0|`` in the complex amplitude plane."""
-        return abs(self.alpha1 - self.alpha0)
-
 
 def check_amplitude(name: str, value: complex) -> complex:
     """``value`` as a complex number, rejecting a non-finite component; the

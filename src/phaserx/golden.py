@@ -11,16 +11,19 @@ def golden_minimize(f, a: float, b: float, *, xtol: float) -> tuple[float, float
     """Minimize ``f`` on the bracket between ``a`` and ``b``, given in either
     order, to a bracket width of ``xtol``.
 
-    ``record`` keeps every evaluated point in evaluation order (``a``, ``b``,
-    then the interior points); the result is its least entry ``(x, f(x))``,
-    the earliest on a tie.  Assumes ``f`` is unimodal on the bracket; on
-    multimodal input it is still the best evaluated point.
+    ``f`` is evaluated only inside the bracket, never at ``a`` or ``b``,
+    whose values the callers already hold: a minimum at an end is
+    approached to within ``xtol``, and the caller compares the ends.
+    ``record`` keeps every evaluated point in evaluation order; the result
+    is its least entry ``(x, f(x))``, the earliest on a tie.  Assumes ``f``
+    is unimodal on the bracket; on multimodal input it is still the best
+    evaluated point.
     """
     if xtol <= 0.0:
         raise ValueError(f"xtol must be > 0, got {xtol}")
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    record = {x: f(x) for x in (a, b, c, d)}
+    record = {x: f(x) for x in (c, d)}
     fc, fd = record[c], record[d]
     while abs(b - a) > xtol:
         if fc < fd:

@@ -64,24 +64,16 @@ class FockDensityMatrix:
         return self.elements.shape[-1]
 
 
-def required_dim(peak_photon_number: float) -> int:
-    """Fock-space truncation leaving Poisson tail mass below ~1e-12.
-
-    Sized as ``mu + 10*sqrt(mu + 1) + 20`` for the largest symbol photon
-    number ``mu`` in play; adequate for the photon numbers in scope
-    (``mu`` up to a few tens).
-    """
-    mu = max(peak_photon_number, 0.0)
-    return math.ceil(mu + 10.0 * math.sqrt(mu + 1.0) + 20.0)
-
-
 def fock_dim(amplitudes, dim: int | None = None) -> int:
-    """The one truncation rule of the Helstrom path: ``required_dim`` of the
-    brightest ``abs(a) ** 2`` among ``amplitudes``, squared by Python (C pow),
-    since numpy's square of ``np.abs`` differs by an ulp for some amplitudes.
-    An explicit ``dim`` is returned once checked not to fall below it."""
+    """The one truncation rule: Fock levels ``0 .. dim-1`` leaving Poisson
+    tail mass below ~1e-12, ``ceil(mu + 10*sqrt(mu + 1) + 20)`` for the
+    brightest ``mu = abs(a) ** 2`` among ``amplitudes``; adequate for the
+    photon numbers in scope (``mu`` up to a few tens).  ``mu`` is squared
+    by Python (C pow), since numpy's square of ``np.abs`` differs by an ulp
+    for some amplitudes.  An explicit ``dim`` is returned once checked not
+    to fall below it."""
     peak = max(abs(a) ** 2 for a in amplitudes)
-    need = required_dim(peak)
+    need = math.ceil(peak + 10.0 * math.sqrt(peak + 1.0) + 20.0)
     dim = need if dim is None else check_count("dim", dim, 1)
     if dim < need:
         raise ValueError(
@@ -222,6 +214,10 @@ def optimize_helstrom(nbar: float, noise: PhaseNoise) -> tuple[BinaryConstellati
 
     i = int(np.argmin(values))
     step = thetas[1] - thetas[0]
+    # each bracket end is a grid neighbour, or the mirror image of one, so
+    # no lower than the grid point up to rounding: golden probes only the
+    # interior, and the grid point stands in for the ends; a tie goes to the
+    # refined angle
     refined = golden_minimize(objective, thetas[i] - step, thetas[i] + step, xtol=HELSTROM_XTOL)
     theta, perr = min(refined, (thetas[i], values[i]), key=lambda point: point[1])
     return parametrize(theta, nbar), perr

@@ -327,9 +327,9 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
     ``_derivatives`` and stops once its predicted decrease is at most
     ``eps`` times the error, or the error is 0: one more step would gain
     less than an ulp.  Otherwise the step, capped at one cell, is tried; if
-    it does not lower the error, ``golden_minimize`` searches along it to
-    ``sqrt(eps / predicted)`` of its length, below which points differ by
-    less than an ulp.  A round that finds no lower point ends the descent;
+    it does not lower the error, ``golden_minimize`` searches its interior
+    to ``sqrt(eps / predicted)`` of its length, below which points differ
+    by less than an ulp.  A round that finds no lower point ends the descent;
     ``MAX_REFINE_ROUNDS`` ends it ``capped``.  Each evaluated point keeps
     its ``_derivatives``, so none is computed twice.
 
@@ -353,7 +353,7 @@ def _refine(problem: OptimizationProblem, k: int, theta0: float, beta0: float,
             moved = False
             if value > 0.0 and decrease > eps * value:
                 dtheta, du = step * scale / max(1.0, math.hypot(*step))
-                known = {0.0: (value, grad, hess)}  # by fraction of the step
+                known = {}  # _derivatives by fraction of the step
 
                 def along(frac: float) -> float:
                     if frac not in known:

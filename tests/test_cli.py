@@ -8,7 +8,7 @@ import pytest
 from phaserx import cli, optimizer
 from phaserx.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from phaserx.phasenoise import PhaseNoise
-from phaserx.helstrom import perr_helstrom
+from phaserx.helstrom import fock_dim, perr_helstrom
 from phaserx.receivers import perr_bpsk_hom, perr_ook_dd
 from phaserx.constellation import make_bpsk
 
@@ -321,14 +321,33 @@ def test_pk_distribution_csv(tmp_path):
 
 
 def test_pk_default_kmax_covers_the_bulk(tmp_path):
-    # without --kmax the counts run to ceil(mu + 10*sqrt(mu + 1) + 10) for the
-    # peak photon number mu = (|alpha| + |beta|)^2 = 1.44, which is 28
+    # without --kmax the counts run to one below the Fock truncation of the
+    # peak photon number mu = (|alpha| + |beta|)^2 = 1.44, fock_dim's
+    # ceil(mu + 10*sqrt(mu + 1) + 20) = 38, so to 37
     out = tmp_path / "pk.csv"
     assert main(["pk", "--alpha", "1.2", "--sigma", "0.1", "--output", str(out)]) == EXIT_OK
     manifest, _, rows = read_csv(out)
-    assert [int(r[0]) for r in rows] == list(range(29))
+    assert [int(r[0]) for r in rows] == list(range(38))
     (line,) = [l for l in manifest if l.startswith("# parameters: ")]
-    assert "kmax=28" in line.split()
+    assert "kmax=37" in line.split()
+
+
+@pytest.mark.parametrize(("alpha", "beta", "sigma"),
+                         [(1.5, -0.5, 0.3), (1 + 0.5j, 0.8j, 1.0), (4.0, -1.5, 0.45)])
+def test_pk_default_kmax_is_the_fock_truncation(tmp_path, alpha, beta, sigma):
+    # one truncation rule: the default count range is the Helstrom path's
+    # fock_dim of the peak amplitude |alpha| + |beta|, less one, and leaves
+    # the same tail bound
+    out = tmp_path / "pk.csv"
+    assert main(["pk", "--alpha", str(alpha), "--beta", str(beta), "--sigma", str(sigma),
+                 "--output", str(out)]) == EXIT_OK
+    manifest, _, rows = read_csv(out)
+    (line,) = [l for l in manifest if l.startswith("# parameters: ")]
+    params = dict(item.split("=", 1) for item in line.removeprefix("# parameters: ").split())
+    kmax = fock_dim((abs(alpha) + abs(beta),)) - 1
+    assert int(params["kmax"]) == kmax
+    assert [int(r[0]) for r in rows] == list(range(kmax + 1))
+    assert float(params["tail_mass"]) <= 1e-12
 
 
 def test_helstrom_report(capsys):

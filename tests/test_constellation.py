@@ -51,12 +51,6 @@ def test_parametrize_power_constraint():
         assert c.mean_photon_number() == pytest.approx(1.7, rel=1e-14)
 
 
-def test_separation():
-    c = BinaryConstellation(-1.0, 2.0)
-    assert c.separation() == pytest.approx(3.0, rel=1e-15)
-    assert BinaryConstellation(1j, 1j).separation() == 0.0
-
-
 def test_rejects_non_finite_amplitudes():
     with pytest.raises(ValueError):
         BinaryConstellation(float("nan"), 1.0)

@@ -17,7 +17,6 @@ from phaserx.helstrom import (
     optimize_helstrom,
     perr_helstrom,
     phase_diffused_state,
-    required_dim,
     trace_distance,
 )
 from phaserx.phasenoise import PhaseNoise
@@ -35,11 +34,13 @@ OOK_DD_2 = 0.009157819444367090146  # exp(-4)/2, the full-dephasing limit
 NOISELESS = PhaseNoise(0.0)
 
 
-def test_required_dim_monotone_and_padded():
-    assert required_dim(0.0) >= 20
-    dims = [required_dim(mu) for mu in (0.0, 1.0, 4.0, 10.0, 30.0)]
+def test_fock_dim_monotone_and_padded():
+    assert fock_dim([0.0]) >= 20
+    dims = [fock_dim([math.sqrt(mu)]) for mu in (0.0, 1.0, 4.0, 10.0, 30.0)]
     assert dims == sorted(dims)
-    assert required_dim(4.0) > 4
+    assert fock_dim([2.0]) > 4
+    # the brightest amplitude sets it, whatever its phase or position
+    assert fock_dim([0.5, -3.0j, 1.0]) == fock_dim([3.0]) == 61
 
 
 def test_state_is_normalized_hermitian_psd():
@@ -202,7 +203,7 @@ def test_truncation_is_converged():
     c = make_bpsk(2.0)
     noise = PhaseNoise(0.45)
     base = perr_helstrom(c, noise)
-    padded = perr_helstrom(c, noise, dim=required_dim(2.0) + 25)
+    padded = perr_helstrom(c, noise, dim=fock_dim((c.alpha0, c.alpha1)) + 25)
     assert padded == pytest.approx(base, abs=1e-13)
 
 
@@ -266,7 +267,7 @@ MIXED_AMPLITUDES = [1.8, -1.2, 0.0, 1.3 - 0.6j, -0.4 + 1.1j, 2.1, -0.0, 0.7j, -0
 @pytest.mark.parametrize("sigma", [0.0, 0.45, 3.0])
 def test_stacked_state_equals_per_amplitude_calls(sigma):
     noise = PhaseNoise(sigma)
-    dim = required_dim(2.1**2)
+    dim = fock_dim([2.1])
     stack = phase_diffused_state(MIXED_AMPLITUDES, noise, dim)
     assert stack.dim == dim
     assert stack.elements.shape == (len(MIXED_AMPLITUDES), dim, dim)
@@ -296,7 +297,7 @@ COMPLEX_PAIRS = ([1.3 - 0.6j, -0.4 + 1.1j, 0.7j, 1.8, 0.0, -1.2],
 @pytest.mark.parametrize("sigma", [0.0, 0.45, 3.0])
 def test_stacked_trace_distance_equals_per_pair_calls(sigma, pairs):
     noise = PhaseNoise(sigma)
-    dim = required_dim(2.1**2)
+    dim = fock_dim([2.1])
     first, second = pairs
     distances = trace_distance(phase_diffused_state(first, noise, dim),
                                phase_diffused_state(second, noise, dim))
@@ -326,9 +327,9 @@ def test_stacked_state_validates_every_amplitude():
     with pytest.raises(ValueError, match="alpha must be finite"):
         phase_diffused_state([1.0, math.nan], PhaseNoise(0.1))
     # the default and the minimum dim follow the brightest amplitude
-    assert phase_diffused_state([0.5, -3.0], PhaseNoise(0.1)).dim == required_dim(9.0)
-    with pytest.raises(ValueError, match="need at least"):
-        phase_diffused_state([0.5, -3.0], PhaseNoise(0.1), dim=required_dim(0.25))
+    assert phase_diffused_state([0.5, -3.0], PhaseNoise(0.1)).dim == 61
+    with pytest.raises(ValueError, match="need at least 61"):
+        phase_diffused_state([0.5, -3.0], PhaseNoise(0.1), dim=fock_dim([0.5]))
 
 
 def _per_angle_perr(c, noise, dim):
@@ -356,7 +357,7 @@ FULL_CIRCLE_GRID = np.linspace(0.0, math.pi, 121, endpoint=False)
 def _per_angle_optimize(nbar, noise, thetas=DOMAIN_GRID):
     """optimize_helstrom's per-angle scan and golden refinement, the oracle:
     returns the scan values on ``thetas``, the constellation and its error."""
-    dim = required_dim(2.0 * nbar)
+    dim = fock_dim([math.sqrt(2.0 * nbar)])
 
     def objective(theta):
         return _per_angle_perr(parametrize(theta, nbar), noise, dim)
@@ -439,7 +440,7 @@ def test_domain_scan_loses_no_basin_of_the_full_circle(nbar, sigma):
 def test_scan_stacks_stay_within_the_byte_budget(monkeypatch, nbar, dim):
     """Every stack the scan hands to trace_distance fits HELSTROM_STACK_BYTES:
     at nbar 20 one 63-angle stack would take 7.9 MB."""
-    assert required_dim(2.0 * nbar) == dim
+    assert fock_dim([math.sqrt(2.0 * nbar)]) == dim
     sizes = []
     stacked = helstrom.trace_distance
 
@@ -458,9 +459,12 @@ def test_scan_stacks_stay_within_the_byte_budget(monkeypatch, nbar, dim):
 
 
 def test_optimize_helstrom_where_the_peak_energy_rounds_up():
-    """At nbar 4, sqrt(8)**2 rounds to 8 + 2 ulp, whose required_dim is 59
-    against required_dim(8) = 58: the scan takes the larger truncation."""
-    assert required_dim(abs(parametrize(0.0, 4.0).alpha0) ** 2) == required_dim(8.0) + 1
+    """At nbar 4, sqrt(8)**2 rounds above 8, whose fock_dim is 59, where
+    8 photons need 58, as does the amplitude an ulp below sqrt(8): the
+    scan takes the larger truncation."""
+    assert abs(parametrize(0.0, 4.0).alpha0) ** 2 > 8.0
+    assert fock_dim([parametrize(0.0, 4.0).alpha0]) == 59
+    assert fock_dim([math.nextafter(math.sqrt(8.0), 0.0)]) == 58
     c, perr = optimize_helstrom(4.0, PhaseNoise(0.3))
     assert c.mean_photon_number() == pytest.approx(4.0, rel=1e-12)
     assert 0.0 < perr <= perr_helstrom(make_bpsk(4.0), PhaseNoise(0.3)) + 1e-12

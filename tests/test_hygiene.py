@@ -12,8 +12,14 @@ from phaserx.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _unused_imports(path: Path) -> list[str]:
-    tree = ast.parse(path.read_text(), filename=str(path))
+def _readme_python_block() -> str:
+    """The README's one python block, the library example."""
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+    return block
+
+
+def _unused_imports(name: str, source: str) -> list[str]:
+    tree = ast.parse(source, filename=name)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -23,8 +29,8 @@ def _unused_imports(path: Path) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [f"{path.relative_to(ROOT)}:{line}: {name}"
-            for name, line in sorted(imported.items()) if name not in used]
+    return [f"{name}:{line}: {alias}"
+            for alias, line in sorted(imported.items()) if alias not in used]
 
 
 SOURCES = sorted((ROOT / "src" / "phaserx").glob("*.py"))
@@ -32,10 +38,13 @@ CATCH_ALL = {"Exception", "BaseException"}
 
 
 def test_no_unused_imports():
-    # __init__.py imports to re-export, so it is left out.
+    # __init__.py imports to re-export, so it is left out; the README's
+    # library example is held to the same rule.
     files = [p for p in SOURCES if p.name != "__init__.py"]
     files += sorted((ROOT / "tests").glob("*.py"))
-    unused = [entry for path in files for entry in _unused_imports(path)]
+    sources = [(str(p.relative_to(ROOT)), p.read_text()) for p in files]
+    sources.append(("README.md", _readme_python_block()))
+    unused = [entry for name, source in sources for entry in _unused_imports(name, source)]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
 
 
@@ -98,12 +107,13 @@ def _names_used(path: Path, name: str) -> list[str]:
 
 
 def test_fock_truncation_lives_in_helstrom():
-    # One Fock-space truncation rule: every other module sizes its matrices
-    # through helstrom's fock_dim, never through required_dim directly.
-    # __init__.py only re-exports it.
-    found = [entry for path in SOURCES if path.name not in ("helstrom.py", "__init__.py")
-             for entry in _names_used(path, "required_dim")]
-    assert not found, "required_dim named outside helstrom.py:\n" + "\n".join(found)
+    # One truncation rule: the Helstrom matrices and pk's default count
+    # range are both sized by helstrom's fock_dim, the package's one
+    # rounding up of a Poisson tail bound, so a ceil in any other module is
+    # a second cutoff formula.
+    found = [entry for path in SOURCES if path.name != "helstrom.py"
+             for entry in _names_used(path, "ceil")]
+    assert not found, "ceil outside helstrom.py:\n" + "\n".join(found)
 
 
 def _sigma_reads(path: Path) -> list[str]:
@@ -168,10 +178,8 @@ def test_bench_hooked_names_exist():
 def test_readme_library_example_runs():
     # The README's python block, executed as written: its simulation of the
     # optimized receiver agrees with the reported optimum.
-    readme = (ROOT / "README.md").read_text()
-    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
     namespace = {}
-    exec(compile(block, "README.md", "exec"), namespace)
+    exec(compile(_readme_python_block(), "README.md", "exec"), namespace)
     est, se, result = namespace["est"], namespace["se"], namespace["result"]
     assert abs(est - result.perr) <= 4.0 * se, (est, se, result.perr)
 

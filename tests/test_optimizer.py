@@ -731,14 +731,19 @@ def test_noiseless_optimum_matches_a_40_digit_stationary_point(nbar):
     assert abs(res.perr - exact) <= 1e-12 * exact, (res.perr, exact)
 
 
-@pytest.mark.xfail(strict=True, reason="bright noiseless optima end capped, well above exact "
-                   "nulling (ROADMAP finding 16)")
+@pytest.mark.xfail(strict=True, reason="the grid's 0.5 + 0.5*gap seeding values round to 0, "
+                   "so the K = 0 seed starts at an exact zero of the grid, not at the optimum, "
+                   "and ends capped (ROADMAP item 1, finding 16)")
 @pytest.mark.parametrize("nbar", [30.0, 50.0])
 def test_bright_noiseless_optimum_is_no_worse_than_exact_nulling(nbar):
     """Tripwire: at sigma 0, PNR 1 exact nulling of BPSK is feasible, with
     error exp(-4*nbar)/2, so the optimum is no worse and its seed ends
     uncapped.  Today the K = 0 seed stops on the round cap, at 11 times
-    that bound at nbar 30 and 3.3e17 times it at nbar 50."""
+    that bound at nbar 30 and 3.3e17 times it at nbar 50.  The cause is
+    the seeding (ROADMAP item 1): the grid's ``0.5 + 0.5*gap`` values
+    round the slice's least cells to exactly 0, the first of which, at
+    theta 0, nulls alpha0 with alpha1 = 0 (true error exp(-2*nbar)/2), and
+    refinement from there gains about a factor e per capped round."""
     res = default_optimum(nbar, 0.0, 1)
     assert not any(s.capped for s in res.seeds)
     assert res.perr <= 0.5 * math.exp(-4.0 * nbar)
